@@ -23,11 +23,11 @@ from . import __version__
 from .data import (
     Dataset,
     SynthSpec,
+    dataset_meta,
     filter_one_sentence,
     generate_synthetic_with_manifest,
     load_jsonl,
     save_jsonl,
-    vocab_fingerprint,
 )
 from .embedding import load_pretrained_words
 from .errors import DataError, SegError, ValidationError
@@ -40,18 +40,6 @@ from .model import (
     save_checkpoint,
 )
 from .training import TrainConfig, save_history_csv, train
-
-ABLATION_ORDER = (
-    "seg",
-    "seg_wo_ent",
-    "seg_wo_gate",
-    "seg_wo_gate_wo_attn",
-    "seg_wo_all",
-    "seg_attn_wo_gate",
-    "seg_attn",
-    "seg_stack",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with code 1 on bad arguments, per our contract."""
@@ -183,13 +171,18 @@ def _resolve_train_config(args, out_dir: Path) -> TrainConfig:
     return config
 
 
-def _dataset_meta(ds: Dataset) -> dict:
-    return {
-        "relation_names": ds.relation_names,
-        "word_vocab": ds.word_vocab,
-        "entity_vocab": ds.entity_vocab,
-        "fingerprint": vocab_fingerprint(ds.relation_names, ds.word_vocab, ds.entity_vocab),
-    }
+def _load_with_checkpoint_vocab(path, meta: dict, what: str, args) -> Dataset:
+    """Load JSONL against a checkpoint's vocabularies; a mismatch names both fingerprints."""
+    try:
+        return load_jsonl(path, relation_names=meta["relation_names"],
+                          word_vocab=meta["word_vocab"], entity_vocab=meta["entity_vocab"],
+                          max_len=args.max_len, bag_cap=args.bag_cap)
+    except DataError as e:
+        got = dataset_meta(load_jsonl(path, max_len=args.max_len, bag_cap=args.bag_cap))
+        raise ValidationError(
+            f"{what} data does not match the checkpoint vocabulary (checkpoint fingerprint "
+            f"{meta['fingerprint']}, standalone data fingerprint {got['fingerprint']}): {e}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +224,8 @@ def cmd_train(args) -> int:
     if args.resume:
         resume_params, model_config, manifest = load_checkpoint(args.resume)
         start_step = int(manifest.get("step", 0))
-        meta = manifest["dataset"]
-        try:
-            train_ds = load_jsonl(
-                args.train_data,
-                relation_names=meta["relation_names"],
-                word_vocab=meta["word_vocab"],
-                entity_vocab=meta["entity_vocab"],
-                max_len=args.max_len,
-                bag_cap=args.bag_cap,
-            )
-        except DataError as e:
-            standalone = load_jsonl(args.train_data, max_len=args.max_len,
-                                    bag_cap=args.bag_cap)
-            got = vocab_fingerprint(standalone.relation_names, standalone.word_vocab,
-                                    standalone.entity_vocab)
-            raise ValidationError(
-                f"training data does not match the checkpoint vocabulary "
-                f"(checkpoint fingerprint {meta['fingerprint']}, standalone data "
-                f"fingerprint {got}): {e}"
-            ) from None
+        train_ds = _load_with_checkpoint_vocab(args.train_data, manifest["dataset"],
+                                               "training", args)
     else:
         train_ds = load_jsonl(args.train_data, max_len=args.max_len, bag_cap=args.bag_cap)
         model_config = _resolve_model_config(args, len(train_ds.relation_names))
@@ -272,6 +247,7 @@ def cmd_train(args) -> int:
             bag_cap=args.bag_cap,
         )
 
+    train_meta = dataset_meta(train_ds)
     _write_manifest(out_dir, "train", {
         "inputs": {"train_data": args.train_data, "eval_data": args.eval_data,
                    "resume": args.resume},
@@ -281,9 +257,7 @@ def cmd_train(args) -> int:
             "train_config": dataclasses.asdict(train_config),
         },
         "seeds": {"data_seed": train_config.seed, "model_seed": model_config.seed},
-        "dataset_fingerprint": vocab_fingerprint(
-            train_ds.relation_names, train_ds.word_vocab, train_ds.entity_vocab
-        ),
+        "dataset_fingerprint": train_meta["fingerprint"],
         "outputs": {
             "checkpoint": str(out_dir / "ckpt_final.json"),
             "history": str(out_dir / "history.csv"),
@@ -305,8 +279,8 @@ def cmd_train(args) -> int:
         train_ds, model_config, train_config,
         eval_ds=eval_ds, params=resume_params, start_step=start_step,
     )
-    save_checkpoint(out_dir / "ckpt_final", params, model_config,
-                    _dataset_meta(train_ds), train_config.max_steps)
+    save_checkpoint(out_dir / "ckpt_final", params, model_config, train_meta,
+                    train_config.max_steps)
     save_history_csv(history, out_dir / "history.csv")
     final_loss = history[-1]["loss"] if history else float("nan")
     print(f"trained {model_config.variant} for "
@@ -318,24 +292,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params, model_config, manifest = load_checkpoint(args.checkpoint)
     meta = manifest["dataset"]
-    try:
-        test_ds = load_jsonl(
-            args.test_data,
-            relation_names=meta["relation_names"],
-            word_vocab=meta["word_vocab"],
-            entity_vocab=meta["entity_vocab"],
-            max_len=args.max_len,
-            bag_cap=args.bag_cap,
-        )
-    except DataError as e:
-        standalone = load_jsonl(args.test_data, max_len=args.max_len, bag_cap=args.bag_cap)
-        got = vocab_fingerprint(standalone.relation_names, standalone.word_vocab,
-                                standalone.entity_vocab)
-        raise ValidationError(
-            f"evaluation data does not match the checkpoint vocabulary "
-            f"(checkpoint fingerprint {meta['fingerprint']}, standalone data "
-            f"fingerprint {got}): {e}"
-        ) from None
+    test_ds = _load_with_checkpoint_vocab(args.test_data, meta, "evaluation", args)
     if args.one_sentence_only:
         test_ds = filter_one_sentence(test_ds)
         if not test_ds.bags:
@@ -420,22 +377,23 @@ def cmd_ablate(args) -> int:
         "resolved": {
             "model_config": dataclasses.asdict(base_model),
             "train_config": dataclasses.asdict(train_config),
-            "variant_order": list(ABLATION_ORDER),
+            "variant_order": list(VARIANTS),
         },
         "seeds": {"data_seed": train_config.seed, "model_seed": base_model.seed},
         "outputs": {"table": str(out_dir / "ablation.csv")},
     })
 
+    meta = dataset_meta(train_ds)
     rows = []
-    for variant in ABLATION_ORDER:
+    for variant in VARIANTS:
         model_config = dataclasses.replace(base_model, variant=variant)
         params, _ = train(train_ds, model_config, train_config)
         report = build_eval_report(test_ds, params, model_config,
                                    subsample_seed=train_config.seed)
         vdir = out_dir / "variants" / variant
         write_report_json(report, vdir / "report.json")
-        save_checkpoint(vdir / "ckpt_final", params, model_config,
-                        _dataset_meta(train_ds), train_config.max_steps)
+        save_checkpoint(vdir / "ckpt_final", params, model_config, meta,
+                        train_config.max_steps)
         means = {m: report.p_at_n[m]["mean"] for m in ("One", "Two", "All")}
         rows.append((variant, report.auc, report.non_na_acc, means))
         print(f"{variant:<22} auc={report.auc:.4f}  non_na_acc={report.non_na_acc:.4f}")

@@ -103,6 +103,17 @@ def vocab_fingerprint(relation_names, word_vocab, entity_vocab) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def dataset_meta(ds: Dataset) -> dict:
+    """What a checkpoint stores about its training data: labels, both
+    vocabularies and their fingerprint."""
+    return {
+        "relation_names": ds.relation_names,
+        "word_vocab": ds.word_vocab,
+        "entity_vocab": ds.entity_vocab,
+        "fingerprint": vocab_fingerprint(ds.relation_names, ds.word_vocab, ds.entity_vocab),
+    }
+
+
 def _split_counts(total: int, num_relations: int) -> list[int]:
     """Deterministic per-relation bag counts: a fixed NA share, the rest as
     even as possible with the remainder going to the lowest relation ids."""

@@ -340,11 +340,7 @@ def forward_bag(bag: Bag, params: SegParams, config: ModelConfig,
 
 
 def l2_penalty(params: SegParams) -> Tensor:
-    acc = None
-    for _, t in params.registry:
-        term = nm.sum_all(nm.mul(t, t))
-        acc = term if acc is None else nm.add(acc, term)
-    return acc
+    return nm.sum_of_squares(params.tensors())
 
 
 def loss(batch, params: SegParams, config: ModelConfig,
@@ -414,13 +410,22 @@ def load_checkpoint(path) -> tuple[SegParams, ModelConfig, dict]:
     man_path, bin_path = _ckpt_paths(path)
     if not man_path.exists() or not bin_path.exists():
         raise ValidationError(f"checkpoint not found: {man_path} / {bin_path}")
-    manifest = json.loads(man_path.read_text())
-    if manifest.get("format") != _CKPT_FORMAT:
+    try:
+        manifest = json.loads(man_path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"checkpoint manifest {man_path} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
         raise ValidationError(f"unrecognized checkpoint format in {man_path}")
-    config = ModelConfig(**manifest["model_config"])
-    params = SegParams(config, manifest["vocab_size"])
-    recorded = manifest["registry"]
-    if [n for n, _ in params.registry] != [r["name"] for r in recorded]:
+    try:
+        config = ModelConfig(**manifest["model_config"])
+        vocab_size, recorded, _ = manifest["vocab_size"], manifest["registry"], manifest["dataset"]
+        recorded_names = [r["name"] for r in recorded]
+    except KeyError as e:
+        raise ValidationError(f"checkpoint manifest {man_path} lacks key {e}") from None
+    except TypeError as e:
+        raise ValidationError(f"checkpoint manifest {man_path} has a bad entry: {e}") from None
+    params = SegParams(config, vocab_size)
+    if [n for n, _ in params.registry] != recorded_names:
         raise ValidationError("checkpoint registry does not match the configured variant")
     with bin_path.open("rb") as fh:
         for (name, t), rec in zip(params.registry, recorded):

@@ -139,9 +139,15 @@ class no_grad:
 def _accum(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is None and np.shape(g) == t.shape:
+        # A copy, never an alias: one pull may hand the same array to two
+        # operands, and later contributions add into this buffer in place.
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    elif t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad += g
+    else:
+        t.grad += g
 
 
 def _result(data: Array, inputs: tuple[Tensor, ...], pull: Callable[[Array], None]) -> Tensor:
@@ -443,9 +449,9 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
     def pull(g: Array) -> None:
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g.T)
-            _accum(table, gt)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, idx, g.T)
 
     return _result(out, (table,), pull)
 
@@ -529,6 +535,22 @@ def sum_all(x: Tensor) -> Tensor:
         _accum(x, np.broadcast_to(g, x.shape))
 
     return _result(out, (x,), pull)
+
+
+def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of squared entries over all ``tensors``, as one scalar record."""
+    flats = [t.data.reshape(-1) for t in tensors]
+    out = np.asarray(sum(float(np.dot(f, f)) for f in flats))
+
+    def pull(g: Array) -> None:
+        c = 2.0 * float(g)
+        for t in tensors:
+            if t.requires_grad and t.grad is None:
+                t.grad = c * t.data  # already a fresh buffer; _accum would copy it
+            elif t.requires_grad:
+                t.grad += c * t.data
+
+    return _result(out, tuple(tensors), pull)
 
 
 def select_index(v: Tensor, i: int) -> Tensor:

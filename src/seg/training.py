@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .data import Dataset, vocab_fingerprint
+# vocab_fingerprint stays importable from here: perfbench's tracer wraps
+# seg.training.vocab_fingerprint.
+from .data import Dataset, dataset_meta, vocab_fingerprint  # noqa: F401
 from .errors import TrainingAbort, ValidationError
 from .model import ModelConfig, SegParams, dataset_accuracy, loss, save_checkpoint
 
@@ -103,18 +105,12 @@ def train(
         params = SegParams(model_config, len(ds.word_vocab))
     registry_size = len(params.registry)
 
-    dataset_meta = {
-        "relation_names": ds.relation_names,
-        "word_vocab": ds.word_vocab,
-        "entity_vocab": ds.entity_vocab,
-        "fingerprint": vocab_fingerprint(ds.relation_names, ds.word_vocab, ds.entity_vocab),
-    }
-
     n = len(ds.bags)
     steps_per_epoch = math.ceil(n / train_config.batch_size)
     history: list[dict] = []
     perm_epoch = -1
     perm = None
+    meta = None  # built on the first checkpoint: fingerprinting a large vocab is costly
 
     for step in range(start_step, train_config.max_steps):
         epoch, slot = divmod(step, steps_per_epoch)
@@ -152,9 +148,11 @@ def train(
 
                 row["eval_auc"] = dataset_auc(eval_ds, params, model_config)
             if train_config.checkpoint_dir:
+                if meta is None:
+                    meta = dataset_meta(ds)
                 save_checkpoint(
                     Path(train_config.checkpoint_dir) / f"ckpt_step{step + 1}",
-                    params, model_config, dataset_meta, step + 1,
+                    params, model_config, meta, step + 1,
                 )
         history.append(row)
 

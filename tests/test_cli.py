@@ -298,6 +298,29 @@ def test_eval_missing_checkpoint_exits_one(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _break_manifest(manifest: dict, how: str) -> str:
+    if how == "not_json":
+        return json.dumps(manifest)[:-7]
+    if how == "missing_key":
+        del manifest["vocab_size"]
+    else:
+        manifest["model_config"]["no_such_field"] = 1
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("how", ["not_json", "missing_key", "unknown_config_key"])
+def test_eval_unparseable_checkpoint_manifest_exits_one(tmp_path, capsys, how):
+    corpus = synth(tmp_path)
+    run = quick_train(tmp_path, corpus)
+    man = run / "ckpt_final.json"
+    man.write_text(_break_manifest(json.loads(man.read_text()), how))
+    capsys.readouterr()
+    rc, _ = run_eval(tmp_path, corpus, run)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint manifest") and err.count("\n") == 1
+
+
 # -- gradcheck --------------------------------------------------------------------
 
 

@@ -261,6 +261,51 @@ def test_embedding_lookup_range_validation():
         nm.embedding_lookup(rand((5, 2), 71), [0, 5])
 
 
+@pytest.mark.parametrize("l2_last", [False, True])
+def test_lookups_into_one_table_match_dense_oracle(l2_last):
+    # With the L2 term recorded last its pull runs first and allocates the
+    # table gradient; recorded first, the lookups' pulls allocate it.
+    table = rand((9, 4), 84)
+    id_lists = ([3, 0, 3, 3], [8, 3], [0, 0, 5])
+    weights = [Tensor(np.random.default_rng(85 + i).standard_normal((4, len(ids))))
+               for i, ids in enumerate(id_lists)]
+    l2 = None if l2_last else nm.scale(nm.sum_of_squares([table]), 0.3)
+    total = l2
+    for ids, w in zip(id_lists, weights):
+        term = nm.sum_all(nm.mul(nm.embedding_lookup(table, ids), w))
+        total = term if total is None else nm.add(total, term)
+    if l2_last:
+        total = nm.add(total, nm.scale(nm.sum_of_squares([table]), 0.3))
+    backward(total)
+    oracle = 0.6 * table.data
+    for ids, w in zip(id_lists, weights):
+        np.add.at(oracle, ids, w.data.T)
+    assert np.max(np.abs(table.grad - oracle)) < 1e-12
+
+
+def test_sum_of_squares_value_and_fd():
+    a, b = rand((3, 4), 87), rand((5,), 88)
+    value = nm.sum_of_squares([a, b]).item()
+    assert value == pytest.approx(float((a.data ** 2).sum() + (b.data ** 2).sum()), rel=1e-14)
+    clear_tape()
+    fd_check(lambda: nm.add(nm.sum_of_squares([a, b]), nm.sum_all(nm.tanh(a))),
+             [("a", a), ("b", b)])
+
+
+def test_first_gradient_contribution_is_copied_not_aliased():
+    # add's pull hands one array to both operands; if either grad kept it,
+    # the later contribution to a would leak into b.
+    a, b = rand((2, 3), 89), rand((2, 3), 90)
+    u = Tensor(np.random.default_rng(91).standard_normal((2, 3)))
+    v = Tensor(np.random.default_rng(92).standard_normal((2, 3)))
+    ta = nm.sum_all(nm.tanh(a))
+    tb = nm.sum_all(nm.mul(b, v))
+    s = nm.sum_all(nm.mul(nm.add(a, b), u))
+    backward(nm.add(nm.add(ta, tb), s))
+    assert np.allclose(a.grad, u.data + 1.0 - np.tanh(a.data) ** 2, rtol=0, atol=1e-15)
+    assert np.allclose(b.grad, u.data + v.data, rtol=0, atol=1e-15)
+
+
 def test_shaping_ops_fd():
     x = rand((3, 4), 72)
     w = rand((12,), 73)
