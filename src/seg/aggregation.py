@@ -61,19 +61,17 @@ def gate_values(summaries: Sequence[Tensor], params: SelectiveGateParams) -> lis
     return gates
 
 
-def gate_aggregate(
+def gated_vectors(
     vectors: Sequence[Tensor], gates: Sequence[Tensor], scalar_gate: bool = False
-) -> Tensor:
-    """Mean of gated sentence vectors: (1/m) sum_j g_j * s_j.
+) -> list[Tensor]:
+    """Per-sentence gated vectors g_j * s_j.
 
     With ``scalar_gate`` each gate vector collapses to its mean, giving one
     multiplier per sentence.
     """
-    _check_bag(vectors, "gate_aggregate")
+    _check_bag(vectors, "gated_vectors")
     if len(gates) != len(vectors):
-        raise ShapeError(
-            f"gate_aggregate got {len(vectors)} vectors but {len(gates)} gates"
-        )
+        raise ShapeError(f"gated_vectors got {len(vectors)} vectors but {len(gates)} gates")
     terms = []
     for s, g in zip(vectors, gates):
         if scalar_gate:
@@ -81,7 +79,14 @@ def gate_aggregate(
         elif g.shape != s.shape:
             raise ShapeError(f"gate shape {g.shape} does not match vector shape {s.shape}")
         terms.append(nm.mul(g, s))
-    return mean_vectors(terms)
+    return terms
+
+
+def gate_aggregate(
+    vectors: Sequence[Tensor], gates: Sequence[Tensor], scalar_gate: bool = False
+) -> Tensor:
+    """Mean of gated sentence vectors: (1/m) sum_j g_j * s_j."""
+    return mean_vectors(gated_vectors(vectors, gates, scalar_gate))
 
 
 def _dot(a: Tensor, b: Tensor) -> Tensor:
@@ -89,19 +94,24 @@ def _dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def selective_attention_aggregate(
-    vectors: Sequence[Tensor], query, params: SelectiveAttnParams
+    vectors: Sequence[Tensor], relation: int | None, params: SelectiveAttnParams
 ) -> Tensor:
-    """Softmax-weighted sum of sentence vectors scored against one query.
+    """Softmax-weighted sum of sentence vectors scored against relation queries.
 
-    ``query`` is either a relation index (selects that row of the query
-    table) or a query vector. Scores are s_j . (bilinear @ query).
+    With a relation index r the scores are s_j . (bilinear @ q_r) and the
+    result is one (feat,) vector. With ``relation=None`` every relation
+    attends in one pass: the scores (S @ bilinear) @ Q^T form an (m, R)
+    matrix, the softmax runs down each column, and column r of the
+    (feat, R) result is the aggregate for relation r.
     """
     _check_bag(vectors, "selective_attention_aggregate")
-    if isinstance(query, Tensor):
-        q = query
-    else:
-        q = nm.select_row(params.queries, int(query))
-    target = nm.matmul(params.bilinear, q)
+    if relation is None:
+        cols = nm.concat([nm.reshape(s, (s.size, 1)) for s in vectors], axis=1)
+        # S @ bilinear first: bilinear @ Q^T would cost feat^2 * R per bag.
+        scores = nm.matmul(nm.matmul(nm.transpose(cols), params.bilinear),
+                           nm.transpose(params.queries))
+        return nm.matmul(cols, nm.softmax_over_axis(scores, 0))
+    target = nm.matmul(params.bilinear, nm.select_row(params.queries, int(relation)))
     scores = [nm.reshape(_dot(s, target), (1,)) for s in vectors]
     weights = nm.softmax_over_axis(nm.concat(scores, axis=0), 0)
     parts = [nm.mul(nm.select_index(weights, j), s) for j, s in enumerate(vectors)]
@@ -124,28 +134,14 @@ def concat_aggregate(vectors: Sequence[Tensor], summaries: Sequence[Tensor]) -> 
 
 def gate_plus_attention_aggregate(
     vectors: Sequence[Tensor],
-    gates: Sequence[Tensor] | None,
-    query,
+    gates: Sequence[Tensor],
+    relation: int | None,
     params: SelectiveAttnParams,
     scalar_gate: bool = False,
 ) -> Tensor:
     """Selective attention over gated sentence vectors.
 
-    With ``gates`` None the attention runs directly on the raw vectors.
     Uniform attention weights recover gate_aggregate over the same inputs.
     """
-    _check_bag(vectors, "gate_plus_attention_aggregate")
-    if gates is None:
-        gated = list(vectors)
-    else:
-        if len(gates) != len(vectors):
-            raise ShapeError(
-                f"gate_plus_attention_aggregate got {len(vectors)} vectors "
-                f"but {len(gates)} gates"
-            )
-        gated = []
-        for s, g in zip(vectors, gates):
-            if scalar_gate:
-                g = nm.scale(nm.sum_all(g), 1.0 / g.size)
-            gated.append(nm.mul(g, s))
-    return selective_attention_aggregate(gated, query, params)
+    return selective_attention_aggregate(gated_vectors(vectors, gates, scalar_gate),
+                                         relation, params)

@@ -31,7 +31,7 @@ from .data import (
 )
 from .embedding import load_pretrained_words
 from .errors import DataError, SegError, ValidationError
-from .evaluation import build_eval_report, score_decisions, write_pr_csv, write_report_json
+from .evaluation import build_eval_report, write_pr_csv, write_report_json
 from .model import (
     VARIANTS,
     ModelConfig,
@@ -52,7 +52,7 @@ def _git_describe() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
+            capture_output=True, text=True, timeout=10, cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -171,8 +171,16 @@ def _resolve_train_config(args, out_dir: Path) -> TrainConfig:
     return config
 
 
-def _load_with_checkpoint_vocab(path, meta: dict, what: str, args) -> Dataset:
+_CKPT_DATASET_KEYS = ("relation_names", "word_vocab", "entity_vocab", "fingerprint")
+
+
+def _load_with_checkpoint_vocab(path, manifest: dict, what: str, args) -> Dataset:
     """Load JSONL against a checkpoint's vocabularies; a mismatch names both fingerprints."""
+    meta = manifest["dataset"]
+    missing = [k for k in _CKPT_DATASET_KEYS if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ValidationError(f"checkpoint manifest's dataset entry lacks key(s) "
+                              f"{', '.join(missing)}")
     try:
         return load_jsonl(path, relation_names=meta["relation_names"],
                           word_vocab=meta["word_vocab"], entity_vocab=meta["entity_vocab"],
@@ -224,8 +232,7 @@ def cmd_train(args) -> int:
     if args.resume:
         resume_params, model_config, manifest = load_checkpoint(args.resume)
         start_step = int(manifest.get("step", 0))
-        train_ds = _load_with_checkpoint_vocab(args.train_data, manifest["dataset"],
-                                               "training", args)
+        train_ds = _load_with_checkpoint_vocab(args.train_data, manifest, "training", args)
     else:
         train_ds = load_jsonl(args.train_data, max_len=args.max_len, bag_cap=args.bag_cap)
         model_config = _resolve_model_config(args, len(train_ds.relation_names))
@@ -291,8 +298,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, model_config, manifest = load_checkpoint(args.checkpoint)
+    test_ds = _load_with_checkpoint_vocab(args.test_data, manifest, "evaluation", args)
     meta = manifest["dataset"]
-    test_ds = _load_with_checkpoint_vocab(args.test_data, meta, "evaluation", args)
     if args.one_sentence_only:
         test_ds = filter_one_sentence(test_ds)
         if not test_ds.bags:
@@ -322,9 +329,8 @@ def cmd_eval(args) -> int:
         },
     )
     write_report_json(report, out_dir / "report.json")
-    decisions = score_decisions(test_ds, params, model_config)
-    positives = sum(1 for b in test_ds.bags if b.label != 0)
-    write_pr_csv(decisions, positives, out_dir / "pr_curve.csv")
+    write_pr_csv(report.decisions, report.metadata["total_gold_positives"],
+                 out_dir / "pr_curve.csv")
     print(f"auc {report.auc:.4f}  non_na_acc {report.non_na_acc:.4f}  "
           f"({len(test_ds.bags)} bags)")
     return 0

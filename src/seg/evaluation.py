@@ -10,6 +10,10 @@ under the rank curve, anchored at (recall 0, precision at rank 1).
 P@N follows the multi-sentence protocol: only bags with at least two
 sentences participate, and the One/Two modes subsample each bag to one or
 two sentences with a seeded generator before scoring.
+
+Every metric reads one prediction pass per dataset (``predict_dataset``):
+the report forwards the full test set once, takes "All" from those
+decisions, and forwards only the One and Two subsamples again.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .model import ModelConfig, SegParams, forward_bag
+from .model import BagPrediction, ModelConfig, SegParams, forward_bag
 
 P_AT_N_MODES = ("One", "Two", "All")
 DEFAULT_NS = (100, 200, 300)
@@ -44,6 +48,7 @@ class EvalReport:
     p_at_n: dict
     non_na_acc: float
     metadata: dict = field(default_factory=dict)
+    decisions: list[ScoredDecision] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,24 +60,29 @@ class EvalReport:
         }
 
 
-def score_decisions(ds: Dataset, params: SegParams, config: ModelConfig) -> list[ScoredDecision]:
-    """One decision per (bag, non-NA relation), scored by ranking confidence."""
+def predict_dataset(ds: Dataset, params: SegParams, config: ModelConfig) -> list[BagPrediction]:
+    """One forward pass per bag, in dataset order; every metric reads this list."""
     if len(ds.relation_names) != config.num_relations:
         raise ValidationError(
             f"dataset has {len(ds.relation_names)} relations but the model "
             f"expects {config.num_relations}"
         )
-    decisions = []
-    for bag_id, bag in enumerate(ds.bags):
-        pred = forward_bag(bag, params, config)
-        for r in range(1, config.num_relations):
-            decisions.append(ScoredDecision(
-                bag_id=bag_id,
-                relation=r,
-                score=float(pred.confidence[r]),
-                correct=bag.label == r,
-            ))
-    return decisions
+    return [forward_bag(bag, params, config) for bag in ds.bags]
+
+
+def decisions_from(ds: Dataset, preds: list[BagPrediction]) -> list[ScoredDecision]:
+    """One decision per (bag, non-NA relation), scored by ranking confidence."""
+    return [
+        ScoredDecision(bag_id=bag_id, relation=r, score=float(pred.confidence[r]),
+                       correct=bag.label == r)
+        for bag_id, (bag, pred) in enumerate(zip(ds.bags, preds))
+        for r in range(1, len(pred.confidence))
+    ]
+
+
+def score_decisions(ds: Dataset, params: SegParams, config: ModelConfig) -> list[ScoredDecision]:
+    """Forward every bag once and return its decisions."""
+    return decisions_from(ds, predict_dataset(ds, params, config))
 
 
 def ranked(decisions) -> list[ScoredDecision]:
@@ -99,27 +109,21 @@ def pr_curve_and_auc(decisions, total_gold_positives: int):
     return points, auc
 
 
-def precision_at(decisions, n: int) -> tuple[float | None, int]:
-    """Precision over the top min(n, len) decisions; (None, 0) when empty."""
-    if n < 1:
-        raise ValidationError(f"precision_at needs n >= 1, got {n}")
-    if not decisions:
-        return None, 0
-    top = ranked(decisions)[:n]
-    return sum(d.correct for d in top) / len(top), len(top)
-
-
 def p_at_n(decisions_by_mode: dict, ns=DEFAULT_NS) -> dict:
-    """P@N table over modes. Each mode reports the precision per cutoff,
-    how many decisions each cutoff actually covered (shorter lists are
-    computed over all available and flagged by that count), and the mean."""
+    """P@N table over modes. Each mode reports the precision over the top
+    min(n, len) decisions per cutoff (None when the mode is empty), how many
+    decisions each cutoff actually covered (shorter lists are computed over
+    all available and flagged by that count), and the mean."""
+    if any(n < 1 for n in ns):
+        raise ValidationError(f"P@N needs every n >= 1, got {list(ns)}")
     table = {}
     for mode, decisions in decisions_by_mode.items():
+        order = ranked(decisions)
         values, counted = {}, {}
         for n in ns:
-            p, used = precision_at(decisions, n)
-            values[str(n)] = p
-            counted[str(n)] = used
+            top = order[:n]
+            values[str(n)] = sum(d.correct for d in top) / len(top) if top else None
+            counted[str(n)] = len(top)
         present = [v for v in values.values() if v is not None]
         table[mode] = {
             "precision": values,
@@ -149,31 +153,36 @@ def subsample_bags(ds: Dataset, mode: str, seed: int) -> Dataset:
     return Dataset(bags, list(ds.relation_names), dict(ds.word_vocab), dict(ds.entity_vocab))
 
 
-def non_na_accuracy(ds: Dataset, params: SegParams, config: ModelConfig) -> float:
-    """Argmax accuracy over bags whose gold label is not NA."""
-    gold = [b for b in ds.bags if b.label != 0]
-    if not gold:
-        raise ValidationError("non-NA accuracy is undefined: every bag is labeled NA")
-    hits = sum(1 for b in gold if forward_bag(b, params, config).predicted == b.label)
-    return hits / len(gold)
+def accuracy(ds: Dataset, preds: list[BagPrediction], non_na_only: bool = False) -> float:
+    """Fraction of bags whose argmax prediction is the gold label; with
+    ``non_na_only`` only bags whose gold label is not NA count."""
+    pairs = [(b, p) for b, p in zip(ds.bags, preds) if not (non_na_only and b.label == 0)]
+    if not pairs:
+        raise ValidationError("non-NA accuracy is undefined: every bag is labeled NA"
+                              if non_na_only else "accuracy over an empty dataset is undefined")
+    return sum(1 for b, p in pairs if p.predicted == b.label) / len(pairs)
 
 
 def dataset_auc(ds: Dataset, params: SegParams, config: ModelConfig) -> float:
-    decisions = score_decisions(ds, params, config)
     positives = sum(1 for b in ds.bags if b.label != 0)
-    _, auc = pr_curve_and_auc(decisions, positives)
+    _, auc = pr_curve_and_auc(score_decisions(ds, params, config), positives)
     return auc
 
 
 def build_eval_report(ds: Dataset, params: SegParams, config: ModelConfig,
                       subsample_seed: int = 0, extra_metadata: dict | None = None) -> EvalReport:
-    decisions = score_decisions(ds, params, config)
+    preds = predict_dataset(ds, params, config)
+    decisions = decisions_from(ds, preds)
     positives = sum(1 for b in ds.bags if b.label != 0)
     pr_points, auc = pr_curve_and_auc(decisions, positives)
     by_mode = {}
-    for mode in P_AT_N_MODES:
+    for mode in ("One", "Two"):
         sub = subsample_bags(ds, mode, subsample_seed)
         by_mode[mode] = score_decisions(sub, params, config) if sub.bags else []
+    # "All" keeps every sentence of the multi-sentence bags, so its decisions
+    # are the full set's; the kept bag ids keep their order, so the ranking is
+    # the one subsample_bags(ds, "All") would give.
+    by_mode["All"] = [d for d in decisions if len(ds.bags[d.bag_id].sentences) >= 2]
     table = p_at_n(by_mode)
     metadata = {
         "auc_convention": "trapezoid over the full ranked curve, anchored at "
@@ -190,8 +199,9 @@ def build_eval_report(ds: Dataset, params: SegParams, config: ModelConfig,
         pr_points=pr_points,
         auc=auc,
         p_at_n=table,
-        non_na_acc=non_na_accuracy(ds, params, config),
+        non_na_acc=accuracy(ds, preds, non_na_only=True),
         metadata=metadata,
+        decisions=decisions,
     )
 
 

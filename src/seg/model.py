@@ -43,7 +43,7 @@ from .aggregation import (
     mean_vectors,
     selective_attention_aggregate,
 )
-from .data import Bag, Dataset, SentenceExample
+from .data import Bag, SentenceExample
 from .embedding import (
     EmbeddingTables,
     EntityAwareGateParams,
@@ -236,9 +236,10 @@ class BagPrediction:
     """Per-relation probabilities plus the ranking confidence.
 
     ``probs`` always sums to 1. For gate variants ``confidence`` equals
-    ``probs``; for selective-attention variants each confidence entry comes
-    from that relation's own attention pass, and ``probs`` is the
-    normalization of those confidences.
+    ``probs``. For selective-attention variants all relations attend in one
+    pass: confidence[r] is the probability of r under relation r's own
+    attention weights, and ``probs`` is the normalization of those
+    confidences.
     """
 
     probs: np.ndarray
@@ -266,7 +267,9 @@ def _sentence_vectors(bag: Bag, params: SegParams, config: ModelConfig):
     return feats, summaries
 
 
-def _aggregate(feats, summaries, query, params: SegParams, config: ModelConfig) -> Tensor:
+def _aggregate(feats, summaries, relation, params: SegParams, config: ModelConfig) -> Tensor:
+    """The bag vector; attention variants take a relation index, or None for
+    a (feat, R) matrix with one column per relation query."""
     v = config.variant
     if v in ("seg", "seg_wo_ent", "seg_stack"):
         gates = gate_values(summaries, params.gate)
@@ -276,11 +279,11 @@ def _aggregate(feats, summaries, query, params: SegParams, config: ModelConfig) 
     if v == "seg_wo_gate_wo_attn":
         return mean_vectors(feats)
     if v in ("seg_wo_all", "seg_attn_wo_gate"):
-        return selective_attention_aggregate(feats, query, params.selective_attn)
+        return selective_attention_aggregate(feats, relation, params.selective_attn)
     if v == "seg_attn":
         gates = gate_values(summaries, params.gate)
         return gate_plus_attention_aggregate(
-            feats, gates, query, params.selective_attn, config.scalar_gate
+            feats, gates, relation, params.selective_attn, config.scalar_gate
         )
     raise ValidationError(f"unknown variant {v!r}")
 
@@ -307,29 +310,17 @@ def forward_bag(bag: Bag, params: SegParams, config: ModelConfig,
                 train_mode: bool = False, rng=None) -> BagPrediction:
     """Predict one bag. Never records gradients.
 
-    In eval mode the selective-attention variants score each relation with
-    its own query and report those softmax probabilities as confidence;
-    probs is their normalization so it remains a distribution.
+    In eval mode the selective-attention variants let all relations attend
+    in one pass: the aggregate has one column per relation query, one
+    classifier pass scores every column, and confidence[r] is column r's
+    probability of r. probs is their normalization so it remains a
+    distribution.
     """
     with nm.no_grad():
         if config.uses_selective_attn and not train_mode:
             feats, summaries = _sentence_vectors(bag, params, config)
-            if config.variant == "seg_attn":
-                gates = gate_values(summaries, params.gate)
-                pool = [
-                    nm.mul(
-                        nm.scale(nm.sum_all(g), 1.0 / g.size) if config.scalar_gate else g,
-                        s,
-                    )
-                    for g, s in zip(gates, feats)
-                ]
-            else:
-                pool = feats
-            confidence = np.empty(config.num_relations)
-            for r in range(config.num_relations):
-                c = selective_attention_aggregate(pool, r, params.selective_attn)
-                dist = _classify(c, params, config, False, None)
-                confidence[r] = dist.data[r]
+            c = _aggregate(feats, summaries, None, params, config)
+            confidence = np.diagonal(_classify(c, params, config, False, None).data).copy()
             total = confidence.sum()
             probs = confidence / total if total > 0 else np.full_like(confidence,
                                                                       1.0 / confidence.size)
@@ -514,13 +505,3 @@ def run_gradcheck(variant: str, eps: float = 1e-5, tol: float = 1e-4,
         return loss(bags, params, config, train_mode=False)
 
     return nm.grad_check(objective, params.registry, eps=eps, tol=tol)
-
-
-def dataset_accuracy(ds: Dataset, params: SegParams, config: ModelConfig) -> float:
-    """Fraction of bags whose argmax prediction matches the gold label."""
-    if not ds.bags:
-        raise ValidationError("accuracy over an empty dataset is undefined")
-    hits = sum(
-        1 for bag in ds.bags if forward_bag(bag, params, config).predicted == bag.label
-    )
-    return hits / len(ds.bags)

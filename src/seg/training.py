@@ -20,7 +20,8 @@ from . import numerics as nm
 # seg.training.vocab_fingerprint.
 from .data import Dataset, dataset_meta, vocab_fingerprint  # noqa: F401
 from .errors import TrainingAbort, ValidationError
-from .model import ModelConfig, SegParams, dataset_accuracy, loss, save_checkpoint
+from .evaluation import accuracy, dataset_auc, predict_dataset
+from .model import ModelConfig, SegParams, loss, save_checkpoint
 
 _SHUFFLE_STREAM = 11
 _DROPOUT_STREAM = 23
@@ -142,10 +143,8 @@ def train(
 
         row = {"step": step, "loss": value, "lr": lr, "train_acc": None, "eval_auc": None}
         if train_config.eval_every and (step + 1) % train_config.eval_every == 0:
-            row["train_acc"] = dataset_accuracy(ds, params, model_config)
+            row["train_acc"] = accuracy(ds, predict_dataset(ds, params, model_config))
             if eval_ds is not None:
-                from .evaluation import dataset_auc
-
                 row["eval_auc"] = dataset_auc(eval_ds, params, model_config)
             if train_config.checkpoint_dir:
                 if meta is None:

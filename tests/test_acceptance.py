@@ -28,18 +28,18 @@ from seg.data import SynthSpec, generate_synthetic
 from seg.encoders import SelfAttnParams, self_attn_encode
 from seg.evaluation import (
     ScoredDecision,
+    accuracy,
     build_eval_report,
     dataset_auc,
-    non_na_accuracy,
     p_at_n,
     pr_curve_and_auc,
+    predict_dataset,
 )
 from seg.model import (
     TINY_CONFIG,
     VARIANTS,
     ModelConfig,
     SegParams,
-    dataset_accuracy,
     load_checkpoint,
     loss,
     run_gradcheck,
@@ -86,7 +86,8 @@ def paired_run(one_sentence_fraction: float, seed: int) -> dict:
         cfg = TrainConfig(lr0=0.1, max_steps=2500, batch_size=16, seed=seed)
         params, _ = train(train_ds, model, cfg)
         results[variant] = (dataset_auc(test_ds, params, model),
-                            non_na_accuracy(test_ds, params, model))
+                            accuracy(test_ds, predict_dataset(test_ds, params, model),
+                                     non_na_only=True))
     return results
 
 
@@ -259,7 +260,7 @@ def test_criterion_4_overfit_smoke():
     model = replace(EXPERIMENT_MODEL, seed=0)
     params, _ = train(train_ds, model,
                       TrainConfig(lr0=0.1, max_steps=2500, batch_size=16, seed=0))
-    acc = dataset_accuracy(train_ds, params, model)
+    acc = accuracy(train_ds, predict_dataset(train_ds, params, model))
     elapsed = time.perf_counter() - t0
     ok = acc >= 0.99 and elapsed < 600.0
     announce(4, ok, f"train accuracy {acc:.4f} after 2500 steps at lr 0.1, "

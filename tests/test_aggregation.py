@@ -11,10 +11,11 @@ from seg.aggregation import (
     gate_aggregate,
     gate_plus_attention_aggregate,
     gate_values,
+    gated_vectors,
     mean_vectors,
     selective_attention_aggregate,
 )
-from seg.errors import ValidationError
+from seg.errors import ShapeError, ValidationError
 from seg.numerics import Tensor, backward, clear_tape
 
 
@@ -172,13 +173,37 @@ def test_attention_weights_match_hand_softmax():
     assert np.allclose(out.data, want, atol=1e-12)
 
 
-def test_attention_accepts_explicit_query_vector():
-    ss = vecs(17, 2, 4)
+def test_attention_all_relations_columns_match_single_queries():
     params = make_attn_params(5, 4, seed=18)
-    via_index = selective_attention_aggregate(ss, 2, params)
-    via_vector = selective_attention_aggregate(
-        ss, Tensor(params.queries.data[2].copy()), params)
-    assert np.allclose(via_index.data, via_vector.data, atol=1e-12)
+    for m in (1, 2, 4):
+        ss = vecs(17 + m, m, 4)
+        out = selective_attention_aggregate(ss, None, params)
+        assert out.shape == (4, 5)
+        for r in range(5):
+            one = selective_attention_aggregate(ss, r, params).data
+            assert np.allclose(out.data[:, r], one, rtol=1e-12, atol=1e-14)
+    s, = vecs(40, 1, 4)
+    out = selective_attention_aggregate([s], None, params)
+    assert np.array_equal(out.data, np.repeat(s.data[:, None], 5, axis=1))
+
+
+def test_attention_all_relations_gradient_matches_single_queries():
+    ss = vecs(41, 3, 4)
+    params = make_attn_params(3, 4, seed=42)
+    backward(nm.sum_all(selective_attention_aggregate(ss, None, params)))
+    joint = [params.queries.grad.copy(), params.bilinear.grad.copy()]
+    joint += [s.grad.copy() for s in ss]
+    clear_tape()
+    for t in [params.queries, params.bilinear] + ss:
+        t.grad = None
+    total = None
+    for r in range(3):
+        out = nm.sum_all(selective_attention_aggregate(ss, r, params))
+        total = out if total is None else nm.add(total, out)
+    backward(total)
+    single = [params.queries.grad, params.bilinear.grad] + [s.grad for s in ss]
+    for a, b in zip(joint, single):
+        assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 # -- concat aggregate ---------------------------------------------------------------
@@ -203,14 +228,27 @@ def test_concat_length_and_hand_mean():
 # -- gate + attention --------------------------------------------------------------
 
 
+def test_gated_vectors_forms():
+    ss = vecs(43, 2, 3)
+    gs = [Tensor(np.random.default_rng(44 + i).uniform(0.2, 0.8, 3)) for i in range(2)]
+    full = gated_vectors(ss, gs)
+    for v, g, s in zip(full, gs, ss):
+        assert np.array_equal(v.data, g.data * s.data)
+    scalar = gated_vectors(ss, gs, scalar_gate=True)
+    for v, g, s in zip(scalar, gs, ss):
+        assert np.array_equal(v.data, np.sum(g.data) * (1.0 / g.size) * s.data)
+    with pytest.raises(ShapeError, match="2 vectors but 1 gates"):
+        gated_vectors(ss, gs[:1])
+    with pytest.raises(ShapeError, match="does not match"):
+        gated_vectors(ss, [Tensor(np.ones(2))] * 2)
+
+
 def test_gate_plus_attention_singleton_forms():
     s, = vecs(23, 1, 4)
     g = Tensor(np.random.default_rng(24).uniform(0.2, 0.8, 4))
     params = make_attn_params(3, 4, seed=25)
     gated = gate_plus_attention_aggregate([s], [g], 0, params)
     assert np.allclose(gated.data, g.data * s.data, atol=1e-12)
-    raw = gate_plus_attention_aggregate([s], None, 0, params)
-    assert np.array_equal(raw.data, s.data)
 
 
 def test_gate_plus_attention_uniform_scores_reduce_to_gate_aggregate():
@@ -218,23 +256,30 @@ def test_gate_plus_attention_uniform_scores_reduce_to_gate_aggregate():
     gs = [Tensor(np.random.default_rng(27 + i).uniform(0.2, 0.8, 4)) for i in range(3)]
     params = make_attn_params(3, 4, seed=28)
     params.bilinear.data[...] = 0.0  # all scores zero -> uniform softmax
-    out = gate_plus_attention_aggregate(ss, gs, 1, params)
     want = gate_aggregate(ss, gs)
+    out = gate_plus_attention_aggregate(ss, gs, 1, params)
     assert np.allclose(out.data, want.data, atol=1e-12)
+    composed = selective_attention_aggregate(gated_vectors(ss, gs), 1, params)
+    assert np.array_equal(out.data, composed.data)
+    every = gate_plus_attention_aggregate(ss, gs, None, params)
+    assert np.allclose(every.data, np.repeat(want.data[:, None], 3, axis=1), atol=1e-12)
 
 
 def test_gate_plus_attention_composed_oracle_m2():
     ss = vecs(29, 2, 3)
     gs = [Tensor(np.random.default_rng(30 + i).uniform(0.2, 0.8, 3)) for i in range(2)]
     params = make_attn_params(4, 3, seed=31)
-    out = gate_plus_attention_aggregate(ss, gs, 2, params)
     gated = [g.data * s.data for g, s in zip(gs, ss)]
-    target = params.bilinear.data @ params.queries.data[2]
-    scores = np.array([v @ target for v in gated])
-    e = np.exp(scores - scores.max())
-    w = e / e.sum()
-    want = w[0] * gated[0] + w[1] * gated[1]
-    assert np.allclose(out.data, want, atol=1e-12)
+    every = gate_plus_attention_aggregate(ss, gs, None, params)
+    for r in range(4):
+        out = gate_plus_attention_aggregate(ss, gs, r, params)
+        target = params.bilinear.data @ params.queries.data[r]
+        scores = np.array([v @ target for v in gated])
+        e = np.exp(scores - scores.max())
+        w = e / e.sum()
+        want = w[0] * gated[0] + w[1] * gated[1]
+        assert np.allclose(out.data, want, atol=1e-12)
+        assert np.allclose(every.data[:, r], want, atol=1e-12)
 
 
 # -- shared properties ---------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: exit codes, manifests, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import seg.cli
 from seg.cli import main
 
 TINY_MODEL = [
@@ -56,6 +58,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "seg" in capsys.readouterr().out
+
+
+def test_run_manifest_git_describe_ignores_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(seg.cli.__file__).resolve().parents[2])
+    seg.cli._write_manifest(tmp_path / "root", "probe", {})
+    monkeypatch.chdir(tmp_path)
+    seg.cli._write_manifest(tmp_path / "elsewhere", "probe", {})
+    a = json.loads((tmp_path / "root" / "run_manifest.json").read_text())
+    b = json.loads((tmp_path / "elsewhere" / "run_manifest.json").read_text())
+    assert a["git_describe"] == b["git_describe"]
 
 
 def test_bad_env_thread_count_exits_one(tmp_path, monkeypatch, capsys):
@@ -255,6 +267,24 @@ def test_eval_reports_and_reruns_identically(tmp_path, capsys):
     assert (out_a / "pr_curve.csv").read_bytes() == (out_b / "pr_curve.csv").read_bytes()
 
 
+def test_eval_makes_one_prediction_pass(tmp_path, monkeypatch):
+    import seg.evaluation
+    from seg.data import load_jsonl
+
+    corpus = synth(tmp_path)
+    run = quick_train(tmp_path, corpus)
+    calls = []
+    real = seg.evaluation.forward_bag
+    monkeypatch.setattr(seg.evaluation, "forward_bag",
+                        lambda bag, *a: calls.append(bag) or real(bag, *a))
+    rc, _ = run_eval(tmp_path, corpus, run)
+    assert rc == 0
+    bags = load_jsonl(corpus / "test.jsonl").bags
+    multi = sum(1 for b in bags if len(b.sentences) >= 2)
+    assert multi > 0
+    assert len(calls) <= len(bags) + 2 * multi
+
+
 def test_eval_vocab_mismatch_exits_one(tmp_path, capsys):
     corpus = synth(tmp_path)
     run = quick_train(tmp_path, corpus)
@@ -303,12 +333,15 @@ def _break_manifest(manifest: dict, how: str) -> str:
         return json.dumps(manifest)[:-7]
     if how == "missing_key":
         del manifest["vocab_size"]
+    elif how == "missing_dataset_key":
+        del manifest["dataset"]["word_vocab"]
     else:
         manifest["model_config"]["no_such_field"] = 1
     return json.dumps(manifest)
 
 
-@pytest.mark.parametrize("how", ["not_json", "missing_key", "unknown_config_key"])
+@pytest.mark.parametrize("how", ["not_json", "missing_key", "unknown_config_key",
+                                 "missing_dataset_key"])
 def test_eval_unparseable_checkpoint_manifest_exits_one(tmp_path, capsys, how):
     corpus = synth(tmp_path)
     run = quick_train(tmp_path, corpus)

@@ -10,12 +10,13 @@ from seg.errors import ValidationError
 from seg.evaluation import (
     P_AT_N_MODES,
     ScoredDecision,
+    accuracy,
     build_eval_report,
     dataset_auc,
-    non_na_accuracy,
+    decisions_from,
     p_at_n,
     pr_curve_and_auc,
-    precision_at,
+    predict_dataset,
     ranked,
     score_decisions,
     subsample_bags,
@@ -150,14 +151,15 @@ def test_curve_matches_brute_force_oracle_on_random_instances():
 
 def test_precision_at_basics():
     decisions = [dec(i, 1, 1.0 - 0.01 * i, i % 2 == 0) for i in range(10)]
-    p, used = precision_at(decisions, 4)
-    assert (p, used) == (0.5, 4)
-    p, used = precision_at(decisions, 100)
-    assert used == 10
-    assert p == 0.5
-    assert precision_at([], 5) == (None, 0)
+    # Unsorted input: the table ranks each mode itself.
+    shuffled = [decisions[i] for i in np.random.default_rng(0).permutation(10)]
+    table = p_at_n({"All": shuffled, "One": []}, ns=(1, 2, 4, 100))
+    assert table["All"]["precision"] == {"1": 1.0, "2": 0.5, "4": 0.5, "100": 0.5}
+    assert table["All"]["counted"] == {"1": 1, "2": 2, "4": 4, "100": 10}
+    assert table["One"]["precision"]["1"] is None
+    assert table["One"]["counted"]["1"] == 0
     with pytest.raises(ValidationError, match="n >= 1"):
-        precision_at(decisions, 0)
+        p_at_n({"All": decisions}, ns=(100, 0))
 
 
 def test_p_at_n_mean_hand_value():
@@ -228,7 +230,7 @@ def test_non_na_accuracy_excludes_na_bags(scored_corpus):
     from seg.model import forward_bag
 
     test_ds, params, config = scored_corpus
-    acc = non_na_accuracy(test_ds, params, config)
+    acc = accuracy(test_ds, predict_dataset(test_ds, params, config), non_na_only=True)
     gold = [b for b in test_ds.bags if b.label != 0]
     hits = sum(1 for b in gold
                if np.argmax(forward_bag(b, params, config).probs) == b.label)
@@ -245,7 +247,7 @@ def test_non_na_accuracy_needs_positive_bags(scored_corpus):
         entity_vocab=dict(test_ds.entity_vocab),
     )
     with pytest.raises(ValidationError, match="NA"):
-        non_na_accuracy(na_only, params, config)
+        accuracy(na_only, predict_dataset(na_only, params, config), non_na_only=True)
 
 
 def test_dataset_auc_agrees_with_report(scored_corpus):
@@ -255,6 +257,49 @@ def test_dataset_auc_agrees_with_report(scored_corpus):
     assert 0.0 <= report.auc <= 1.0
     assert set(report.p_at_n) == set(P_AT_N_MODES)
     assert report.metadata["num_decisions"] == len(test_ds.bags) * (config.num_relations - 1)
+
+
+def count_forward_bag(monkeypatch):
+    import seg.evaluation
+
+    calls = []
+    real = seg.evaluation.forward_bag
+
+    def counted(bag, params, config):
+        calls.append(len(bag.sentences))
+        return real(bag, params, config)
+
+    monkeypatch.setattr(seg.evaluation, "forward_bag", counted)
+    return calls
+
+
+def test_report_forwards_full_set_once_plus_one_and_two(scored_corpus, monkeypatch):
+    test_ds, params, config = scored_corpus
+    calls = count_forward_bag(monkeypatch)
+    report = build_eval_report(test_ds, params, config, subsample_seed=1)
+    multi = sum(1 for b in test_ds.bags if len(b.sentences) >= 2)
+    assert multi > 0
+    assert len(calls) == len(test_ds.bags) + 2 * multi
+    assert report.decisions == score_decisions(test_ds, params, config)
+
+
+def test_report_all_mode_matches_a_forwarded_all_subsample(scored_corpus):
+    test_ds, params, config = scored_corpus
+    report = build_eval_report(test_ds, params, config, subsample_seed=4)
+    forwarded = score_decisions(subsample_bags(test_ds, "All", seed=4), params, config)
+    kept = [d for d in report.decisions if len(test_ds.bags[d.bag_id].sentences) >= 2]
+    ns = (1, 5, 10, 100)
+    assert p_at_n({"All": kept}, ns=ns) == p_at_n({"All": forwarded}, ns=ns)
+    assert report.p_at_n["All"] == p_at_n({"All": forwarded})["All"]
+
+
+def test_decisions_from_reads_confidence(scored_corpus):
+    test_ds, params, config = scored_corpus
+    preds = predict_dataset(test_ds, params, config)
+    decisions = decisions_from(test_ds, preds)
+    for d in decisions:
+        assert d.score == float(preds[d.bag_id].confidence[d.relation])
+        assert d.correct == (test_ds.bags[d.bag_id].label == d.relation)
 
 
 def test_report_is_deterministic(scored_corpus):

@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 import seg.numerics as nm
+from seg.aggregation import gate_values, selective_attention_aggregate
 from seg.data import Bag, Dataset, SentenceExample
 from seg.errors import DataError, ValidationError
+from seg.evaluation import accuracy, predict_dataset
 from seg.model import (
     TINY_CONFIG,
     VARIANTS,
     ModelConfig,
     SegParams,
-    dataset_accuracy,
+    _classify,
+    _rng_for,
+    _sentence_vectors,
     forward_bag,
     l2_penalty,
     load_checkpoint,
@@ -194,6 +198,39 @@ def test_eval_confidence_uses_per_relation_queries():
     assert np.array_equal(train_pred.probs, train_pred.confidence)
 
 
+def per_relation_confidence(bag, params, config):
+    """Reference eval confidence: one attention pass and one classifier pass
+    per relation, each reading only its own relation's probability."""
+    with nm.no_grad():
+        feats, summaries = _sentence_vectors(bag, params, config)
+        pool = feats
+        if config.variant == "seg_attn":
+            pool = []
+            for g, s in zip(gate_values(summaries, params.gate), feats):
+                if config.scalar_gate:
+                    g = nm.scale(nm.sum_all(g), 1.0 / g.size)
+                pool.append(nm.mul(g, s))
+        confidence = np.empty(config.num_relations)
+        for r in range(config.num_relations):
+            c = selective_attention_aggregate(pool, r, params.selective_attn)
+            confidence[r] = _classify(c, params, config, False, None).data[r]
+    return confidence
+
+
+@pytest.mark.parametrize("scalar_gate", [False, True])
+@pytest.mark.parametrize("variant", ["seg_wo_all", "seg_attn_wo_gate", "seg_attn"])
+def test_eval_confidence_matches_per_relation_oracle(variant, scalar_gate):
+    config = tiny(variant, scalar_gate=scalar_gate)
+    params = SegParams(config, VOCAB)
+    for name, t in params.registry:
+        t.data[...] = _rng_for(5, "oracle." + name).uniform(-1.0, 1.0, size=t.shape)
+    bags = tiny_bags(config.num_relations, VOCAB) + [one_bag(5, seed=s) for s in (8, 9)]
+    for bag in bags:
+        want = per_relation_confidence(bag, params, config)
+        got = forward_bag(bag, params, config).confidence
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), (variant, len(bag.sentences))
+
+
 def test_gate_variant_confidence_is_probs():
     config = tiny()
     params = SegParams(config, VOCAB)
@@ -282,10 +319,12 @@ def test_dataset_accuracy_counts_argmax_hits():
     bags = [one_bag(1, label=7, seed=s) for s in range(3)] + [one_bag(1, label=0, seed=9)]
     ds = Dataset(bags=bags, relation_names=[str(i) for i in range(53)],
                  word_vocab={"<pad>": 0, "<unk>": 1}, entity_vocab={})
-    assert dataset_accuracy(ds, params, config) == 0.75
-    empty = Dataset(bags=[], relation_names=[], word_vocab={}, entity_vocab={})
-    with pytest.raises(ValidationError):
-        dataset_accuracy(empty, params, config)
+    assert accuracy(ds, predict_dataset(ds, params, config)) == 0.75
+    assert accuracy(ds, predict_dataset(ds, params, config), non_na_only=True) == 1.0
+    empty = Dataset(bags=[], relation_names=[str(i) for i in range(53)], word_vocab={},
+                    entity_vocab={})
+    with pytest.raises(ValidationError, match="empty"):
+        accuracy(empty, predict_dataset(empty, params, config))
 
 
 # -- checkpoints --------------------------------------------------------------
