@@ -52,13 +52,12 @@ def mean_vectors(vectors: Sequence[Tensor]) -> Tensor:
 
 
 def gate_values(summaries: Sequence[Tensor], params: SelectiveGateParams) -> list[Tensor]:
-    """Per-sentence gates in (0, 1)^gate_dim from the attention summaries."""
+    """Per-sentence gates in (0, 1)^gate_dim from the attention summaries,
+    stacked as one (d_u, m) matrix so each layer is one matrix product."""
     _check_bag(summaries, "gate_values")
-    gates = []
-    for u in summaries:
-        hidden = nm.relu(nm.add(nm.matmul(params.w_hidden, u), params.b_hidden))
-        gates.append(nm.sigmoid(nm.add(nm.matmul(params.w_out, hidden), params.b_out)))
-    return gates
+    u = nm.concat([nm.reshape(s, (s.size, 1)) for s in summaries], axis=1)
+    hidden = nm.relu(nm.add(nm.matmul(params.w_hidden, u), params.b_hidden))
+    return nm.split_cols(nm.sigmoid(nm.add(nm.matmul(params.w_out, hidden), params.b_out)))
 
 
 def gated_vectors(
@@ -94,14 +93,15 @@ def _dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def selective_attention_aggregate(
-    vectors: Sequence[Tensor], relation: int | None, params: SelectiveAttnParams
+    vectors: Sequence[Tensor], relation: int | Tensor | None, params: SelectiveAttnParams
 ) -> Tensor:
     """Softmax-weighted sum of sentence vectors scored against relation queries.
 
     With a relation index r the scores are s_j . (bilinear @ q_r) and the
-    result is one (feat,) vector. With ``relation=None`` every relation
-    attends in one pass: the scores (S @ bilinear) @ Q^T form an (m, R)
-    matrix, the softmax runs down each column, and column r of the
+    result is one (feat,) vector; a (feat,) Tensor in place of r is that
+    target bilinear @ q_r, already formed. With ``relation=None`` every
+    relation attends in one pass: the scores (S @ bilinear) @ Q^T form an
+    (m, R) matrix, the softmax runs down each column, and column r of the
     (feat, R) result is the aggregate for relation r.
     """
     _check_bag(vectors, "selective_attention_aggregate")
@@ -111,7 +111,8 @@ def selective_attention_aggregate(
         scores = nm.matmul(nm.matmul(nm.transpose(cols), params.bilinear),
                            nm.transpose(params.queries))
         return nm.matmul(cols, nm.softmax_over_axis(scores, 0))
-    target = nm.matmul(params.bilinear, nm.select_row(params.queries, int(relation)))
+    target = relation if isinstance(relation, Tensor) else nm.matmul(
+        params.bilinear, nm.select_row(params.queries, int(relation)))
     scores = [nm.reshape(_dot(s, target), (1,)) for s in vectors]
     weights = nm.softmax_over_axis(nm.concat(scores, axis=0), 0)
     parts = [nm.mul(nm.select_index(weights, j), s) for j, s in enumerate(vectors)]
@@ -135,7 +136,7 @@ def concat_aggregate(vectors: Sequence[Tensor], summaries: Sequence[Tensor]) -> 
 def gate_plus_attention_aggregate(
     vectors: Sequence[Tensor],
     gates: Sequence[Tensor],
-    relation: int | None,
+    relation: int | Tensor | None,
     params: SelectiveAttnParams,
     scalar_gate: bool = False,
 ) -> Tensor:

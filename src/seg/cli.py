@@ -12,6 +12,7 @@ or configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -20,6 +21,27 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .errors import DataError, SegError, ValidationError
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _seg_threads() -> int:
+    raw = os.environ.get("SEG_THREADS", "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"SEG_THREADS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValidationError(f"SEG_THREADS must be at least 1, got {value}")
+    return value
+
+
+# numpy sizes its thread pools once, when it loads, so SEG_THREADS is applied
+# before the imports below. An invalid value is left for the command to report.
+with contextlib.suppress(ValidationError):
+    os.environ.update(dict.fromkeys(THREAD_VARS, str(_seg_threads())))
+
 from .data import (
     Dataset,
     SynthSpec,
@@ -30,7 +52,6 @@ from .data import (
     save_jsonl,
 )
 from .embedding import load_pretrained_words
-from .errors import DataError, SegError, ValidationError
 from .evaluation import build_eval_report, write_pr_csv, write_report_json
 from .model import (
     VARIANTS,
@@ -59,17 +80,6 @@ def _git_describe() -> str:
     except OSError:
         pass
     return "unknown"
-
-
-def _seg_threads() -> int:
-    raw = os.environ.get("SEG_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"SEG_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValidationError(f"SEG_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:

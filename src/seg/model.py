@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -267,12 +268,12 @@ def _sentence_vectors(bag: Bag, params: SegParams, config: ModelConfig):
     return feats, summaries
 
 
-def _aggregate(feats, summaries, relation, params: SegParams, config: ModelConfig) -> Tensor:
-    """The bag vector; attention variants take a relation index, or None for
-    a (feat, R) matrix with one column per relation query."""
+def _aggregate(feats, summaries, gates, relation, params: SegParams,
+               config: ModelConfig) -> Tensor:
+    """The bag vector. Attention variants take a relation index, its target
+    (see selective_attention_aggregate), or None for a (feat, R) matrix."""
     v = config.variant
     if v in ("seg", "seg_wo_ent", "seg_stack"):
-        gates = gate_values(summaries, params.gate)
         return gate_aggregate(feats, gates, config.scalar_gate)
     if v == "seg_wo_gate":
         return concat_aggregate(feats, summaries)
@@ -281,52 +282,54 @@ def _aggregate(feats, summaries, relation, params: SegParams, config: ModelConfi
     if v in ("seg_wo_all", "seg_attn_wo_gate"):
         return selective_attention_aggregate(feats, relation, params.selective_attn)
     if v == "seg_attn":
-        gates = gate_values(summaries, params.gate)
         return gate_plus_attention_aggregate(
             feats, gates, relation, params.selective_attn, config.scalar_gate
         )
     raise ValidationError(f"unknown variant {v!r}")
 
 
-def _classify(c: Tensor, params: SegParams, config: ModelConfig, train_mode: bool, rng) -> Tensor:
+def _bag_columns(aggs, config: ModelConfig, train_mode: bool, rng) -> Tensor:
+    """Bag vectors as the columns of one (agg, B) matrix, dropped out in train
+    mode with a mask drawn over (B, agg) rows: the per-bag draws in bag order."""
+    rows = nm.concat([nm.reshape(c, (1, c.size)) for c in aggs], axis=0)
     if train_mode and config.dropout_p > 0.0:
         if rng is None:
             raise ValidationError("training forward with dropout needs a random generator")
-        c = nm.dropout(c, config.dropout_p, rng)
+        rows = nm.dropout(rows, config.dropout_p, rng)
+    return nm.transpose(rows)
+
+
+def _classify(c: Tensor, params: SegParams) -> Tensor:
+    """Relation logits for a bag vector, or per column of a matrix of them."""
     hidden = nm.relu(nm.add(nm.matmul(params.cls_w_hidden, c), params.cls_b_hidden))
-    logits = nm.add(nm.matmul(params.cls_w_out, hidden), params.cls_b_out)
-    return nm.softmax_over_axis(logits, 0)
-
-
-def _bag_distribution(bag: Bag, params: SegParams, config: ModelConfig,
-                      train_mode: bool, rng) -> Tensor:
-    """Training-path distribution; attention variants use the gold query."""
-    feats, summaries = _sentence_vectors(bag, params, config)
-    c = _aggregate(feats, summaries, bag.label, params, config)
-    return _classify(c, params, config, train_mode, rng)
+    return nm.add(nm.matmul(params.cls_w_out, hidden), params.cls_b_out)
 
 
 def forward_bag(bag: Bag, params: SegParams, config: ModelConfig,
                 train_mode: bool = False, rng=None) -> BagPrediction:
     """Predict one bag. Never records gradients.
 
-    In eval mode the selective-attention variants let all relations attend
-    in one pass: the aggregate has one column per relation query, one
-    classifier pass scores every column, and confidence[r] is column r's
-    probability of r. probs is their normalization so it remains a
-    distribution.
+    The gate network runs once over the bag. Train mode takes the head of
+    ``loss``: the gold query, dropout, one classifier column. In eval mode
+    the selective-attention variants let all relations attend in one pass:
+    the aggregate has one column per relation query, one classifier pass
+    scores every column, and confidence[r] is column r's probability of r.
+    probs is their normalization so it remains a distribution.
     """
+    every = config.uses_selective_attn and not train_mode
     with nm.no_grad():
-        if config.uses_selective_attn and not train_mode:
-            feats, summaries = _sentence_vectors(bag, params, config)
-            c = _aggregate(feats, summaries, None, params, config)
-            confidence = np.diagonal(_classify(c, params, config, False, None).data).copy()
-            total = confidence.sum()
-            probs = confidence / total if total > 0 else np.full_like(confidence,
-                                                                      1.0 / confidence.size)
-        else:
-            probs = _bag_distribution(bag, params, config, train_mode, rng).data.copy()
-            confidence = probs
+        feats, summaries = _sentence_vectors(bag, params, config)
+        gates = gate_values(summaries, params.gate) if config.uses_gate else None
+        c = _aggregate(feats, summaries, gates, None if every else bag.label, params, config)
+        if train_mode:
+            c = _bag_columns([c], config, train_mode, rng)
+        dist = nm.softmax_over_axis(_classify(c, params), 0).data
+    if not every:
+        probs = dist.reshape(-1)
+        return BagPrediction(probs=probs, predicted=int(np.argmax(probs)), confidence=probs)
+    confidence = np.diagonal(dist).copy()
+    total = confidence.sum()
+    probs = confidence / total if total > 0 else np.full_like(confidence, 1.0 / confidence.size)
     return BagPrediction(probs=probs, predicted=int(np.argmax(probs)), confidence=confidence)
 
 
@@ -338,22 +341,32 @@ def loss(batch, params: SegParams, config: ModelConfig,
          train_mode: bool = True, rng=None) -> Tensor:
     """Mean negative log-likelihood of gold labels plus the L2 penalty.
 
-    The log is floored at 1e-12 so the loss stays finite for any finite
+    Sentences are encoded one by one; the bag head then runs once per batch:
+    one gate-network pass over all sentences, one product bilinear @
+    Q[labels]^T whose column b is bag b's attention target, one classifier
+    pass over the (agg, B) bag matrix, and one NLL record. The gold
+    probability is floored at 1e-12 so the loss stays finite for any finite
     parameters. The L2 term covers every registry tensor and is not scaled
     by the batch size.
     """
     if not batch:
         raise ValidationError("loss needs a non-empty batch")
-    total = None
-    for bag in batch:
-        if not 0 <= bag.label < config.num_relations:
-            raise DataError(
-                f"bag label {bag.label} out of range for {config.num_relations} relations"
-            )
-        dist = _bag_distribution(bag, params, config, train_mode, rng)
-        ll = nm.log(nm.select_index(dist, bag.label), floor=1e-12)
-        total = ll if total is None else nm.add(total, ll)
-    out = nm.scale(total, -1.0 / len(batch))
+    labels = [bag.label for bag in batch]
+    bad = [y for y in labels if not 0 <= y < config.num_relations]
+    if bad:
+        raise DataError(f"bag label {bad[0]} out of range for {config.num_relations} relations")
+    encoded = [_sentence_vectors(bag, params, config) for bag in batch]
+    gates = targets = [None] * len(batch)
+    if config.uses_gate:
+        flat = iter(gate_values([u for _, us in encoded for u in us], params.gate))
+        gates = [list(islice(flat, len(us))) for _, us in encoded]
+    if config.uses_selective_attn:
+        attn = params.selective_attn
+        targets = nm.split_cols(
+            nm.matmul(attn.bilinear, nm.embedding_lookup(attn.queries, labels)))
+    aggs = [_aggregate(feats, us, g, t, params, config)
+            for (feats, us), g, t in zip(encoded, gates, targets)]
+    out = nm.nll_columns(_classify(_bag_columns(aggs, config, train_mode, rng), params), labels)
     if config.l2_coef > 0.0:
         out = nm.add(out, nm.scale(l2_penalty(params), config.l2_coef))
     return out

@@ -553,6 +553,39 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
     return _result(out, tuple(tensors), pull)
 
 
+def split_cols(x: Tensor) -> list[Tensor]:
+    """The columns of a (d, n) matrix as n (d,) vectors: rows of its
+    transpose, whose pulls all add into one (n, d) buffer."""
+    t = transpose(x)
+    return [select_row(t, j) for j in range(t.shape[0])]
+
+
+def nll_columns(logits: Tensor, labels: Sequence[int], floor: float = 1e-12) -> Tensor:
+    """Mean negative log-likelihood of one gold row per column of (R, n) logits.
+
+    Each column is softmaxed as by ``softmax_over_axis(logits, 0)`` and its
+    gold probability floored at ``floor``. The pull is (p - onehot) / n per
+    column, and zero for a column whose probability was clamped.
+    """
+    idx = np.asarray(labels, dtype=np.intp)
+    if (logits.ndim != 2 or idx.shape != logits.shape[1:]
+            or not np.all((0 <= idx) & (idx < logits.shape[0]))):
+        raise ShapeError(f"nll_columns needs (R, n) logits and n labels in [0, R), got "
+                         f"{logits.shape} logits and labels {idx.tolist()}")
+    e = np.exp(logits.data - logits.data.max(axis=0, keepdims=True))
+    p = e / e.sum(axis=0, keepdims=True)
+    cols = np.arange(idx.size)
+    active = p[idx, cols] > floor
+    out = np.asarray(np.log(np.maximum(p[idx, cols], floor)).sum() * (-1.0 / idx.size))
+
+    def pull(g: Array) -> None:
+        gx = p.copy()
+        gx[idx, cols] -= 1.0
+        _accum(logits, gx * (active * (float(g) / idx.size)))
+
+    return _result(out, (logits,), pull)
+
+
 def select_index(v: Tensor, i: int) -> Tensor:
     if v.ndim != 1:
         raise ShapeError(f"select_index expects a vector, got {v.shape}")
@@ -578,9 +611,9 @@ def select_row(m: Tensor, i: int) -> Tensor:
     out = m.data[i].copy()
 
     def pull(g: Array) -> None:
-        gm = np.zeros_like(m.data)
-        gm[i] = g
-        _accum(m, gm)
+        if m.grad is None:
+            m.grad = np.zeros_like(m.data)
+        m.grad[i] += g
 
     return _result(out, (m,), pull)
 

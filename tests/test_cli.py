@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: exit codes, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +78,29 @@ def test_bad_env_thread_count_exits_one(tmp_path, monkeypatch, capsys):
     rc = main(["synth", "--out-dir", str(tmp_path / "x")] + SYNTH)
     assert rc == 1
     assert "SEG_THREADS" in capsys.readouterr().err
+
+
+THREADS_PROBE = """
+import seg.cli
+import numpy as np
+a = np.ones((400, 400))
+a @ a
+status = open("/proc/self/status").read()
+print(next(line.split()[1] for line in status.splitlines() if line.startswith("Threads:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("seg_threads", ["1", "2"])
+def test_seg_threads_caps_blas_threads_of_a_fresh_process(seg_threads):
+    src = Path(seg.cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in seg.cli.THREAD_VARS}
+    env.update(SEG_THREADS=seg_threads, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    threads = int(out.stdout.strip())
+    assert 1 <= threads <= int(seg_threads)
 
 
 # -- synth ----------------------------------------------------------------------

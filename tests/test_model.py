@@ -17,6 +17,8 @@ from seg.model import (
     VARIANTS,
     ModelConfig,
     SegParams,
+    _aggregate,
+    _bag_columns,
     _classify,
     _rng_for,
     _sentence_vectors,
@@ -28,7 +30,7 @@ from seg.model import (
     tiny_bags,
     validate_config,
 )
-from seg.numerics import backward, clear_tape
+from seg.numerics import Tensor, backward, clear_tape
 
 
 @pytest.fixture(autouse=True)
@@ -213,7 +215,7 @@ def per_relation_confidence(bag, params, config):
         confidence = np.empty(config.num_relations)
         for r in range(config.num_relations):
             c = selective_attention_aggregate(pool, r, params.selective_attn)
-            confidence[r] = _classify(c, params, config, False, None).data[r]
+            confidence[r] = nm.softmax_over_axis(_classify(c, params), 0).data[r]
     return confidence
 
 
@@ -297,6 +299,107 @@ def test_singleton_bag_attention_gradients_vanish_but_gate_gradients_do_not():
     table = dict(gate_params.registry)
     assert table["gate.w_out"].grad.any()
     assert table["gate.w_hidden"].grad.any()
+
+
+def batch_of(size, num_relations):
+    return [one_bag(1 + k % 3, label=k % num_relations, seed=20 + k) for k in range(size)]
+
+
+def per_bag_loss(batch, params, config, rng):
+    """The per-bag head that the batched loss replaced: a gate pass per
+    sentence, the integer-relation attention target, a vector dropout draw,
+    one classifier pass and a floored log per bag."""
+    total = None
+    for bag in batch:
+        feats, summaries = _sentence_vectors(bag, params, config)
+        gates = None
+        if config.uses_gate:
+            gates = [gate_values([u], params.gate)[0] for u in summaries]
+        c = _aggregate(feats, summaries, gates, bag.label, params, config)
+        if rng is not None:
+            c = nm.dropout(c, config.dropout_p, rng)
+        dist = nm.softmax_over_axis(_classify(c, params), 0)
+        ll = nm.log(nm.select_index(dist, bag.label), floor=1e-12)
+        total = ll if total is None else nm.add(total, ll)
+    out = nm.scale(total, -1.0 / len(batch))
+    return nm.add(out, nm.scale(l2_penalty(params), config.l2_coef))
+
+
+def value_and_grads(objective, params):
+    clear_tape()
+    nm.zero_grads(params.registry)
+    value = objective()
+    backward(value)
+    grads = {name: t.grad.copy() for name, t in params.registry}
+    clear_tape()
+    return float(value.data), grads
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+@pytest.mark.parametrize("scalar_gate", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_loss_matches_per_bag_oracle(variant, scalar_gate, dropout_p):
+    config = tiny(variant, scalar_gate=scalar_gate, dropout_p=dropout_p)
+    params = SegParams(config, VOCAB)
+    for name, t in params.registry:
+        t.data[...] = _rng_for(3, "batched." + name).uniform(-0.5, 0.5, size=t.shape)
+    batch = tiny_bags(config.num_relations, VOCAB) + batch_of(6, config.num_relations)
+
+    def rng():
+        return np.random.default_rng(11) if dropout_p else None
+
+    got, got_grads = value_and_grads(
+        lambda: loss(batch, params, config, train_mode=True, rng=rng()), params)
+    want, want_grads = value_and_grads(lambda: per_bag_loss(batch, params, config, rng()),
+                                       params)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for name, g in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_batched_dropout_mask_equals_per_bag_draws():
+    config = tiny(dropout_p=0.5)
+    aggs = [Tensor(np.ones(690)) for _ in range(32)]
+    got = _bag_columns(aggs, config, True, np.random.default_rng(21)).data
+    per_bag = np.random.default_rng(21)
+    want = np.stack([nm.dropout(c, 0.5, per_bag).data for c in aggs], axis=1)
+    assert np.array_equal(got, want)
+    assert 0.4 < np.count_nonzero(got) / got.size < 0.6
+
+
+HEAD_WEIGHTS = ("cls.w_hidden", "cls.w_out", "gate.w_hidden", "gate.w_out",
+                "selective_attn.bilinear")
+# Tape records per loss() on batch_of(size) with the per-bag head the
+# batched head replaced (tiny config, scalar gate off).
+PER_BAG_RECORDS = {
+    3: {"seg": 288, "seg_wo_ent": 180, "seg_wo_gate": 252, "seg_wo_gate_wo_attn": 198,
+        "seg_wo_all": 129, "seg_attn_wo_gate": 237, "seg_attn": 327, "seg_stack": 330},
+    16: {"seg": 1480, "seg_wo_ent": 922, "seg_wo_gate": 1294, "seg_wo_gate_wo_attn": 1015,
+         "seg_wo_all": 660, "seg_attn_wo_gate": 1218, "seg_attn": 1683, "seg_stack": 1697},
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_head_weights_enter_one_matmul_per_loss(variant, monkeypatch):
+    config = tiny(variant)
+    params = SegParams(config, VOCAB)
+    table = dict(params.registry)
+    weights = {id(table[n]): n for n in HEAD_WEIGHTS if n in table}
+    seen = []
+    matmul = nm.matmul
+
+    def counting(a, b):
+        seen.extend(weights[id(t)] for t in (a, b) if id(t) in weights)
+        return matmul(a, b)
+
+    monkeypatch.setattr(nm, "matmul", counting)
+    for size in (1, 3, 16):
+        seen.clear()
+        clear_tape()
+        loss(batch_of(size, config.num_relations), params, config, train_mode=False)
+        assert sorted(seen) == sorted(weights.values()), size
+        if size in PER_BAG_RECORDS:
+            assert len(nm.active_tape()) < PER_BAG_RECORDS[size][variant], size
 
 
 # -- helpers ----------------------------------------------------------------

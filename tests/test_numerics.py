@@ -344,6 +344,95 @@ def test_broadcast_cols_fd():
     fd_check(lambda: nm.sum_all(nm.mul(nm.broadcast_cols(v, 5), w)), [("v", v)])
 
 
+def test_split_cols_values_and_fd():
+    x = rand((3, 4), 84)
+    w = rand((3,), 85)
+    cols = nm.split_cols(x)
+    assert [c.shape for c in cols] == [(3,)] * 4
+    for j, c in enumerate(cols):
+        assert np.array_equal(c.data, x.data[:, j])
+
+    def build():
+        parts = [nm.sum_all(nm.tanh(nm.mul(c, w))) for c in nm.split_cols(x)]
+        return nm.add(nm.add(parts[0], parts[2]), nm.scale(parts[3], 2.0))
+
+    fd_check(build, [("x", x), ("w", w)])
+
+
+def test_split_cols_pulls_add_into_one_buffer():
+    x = rand((3, 4), 86)
+    nm.split_cols(x)
+    records = nm.active_tape().records
+    assert len(records) == 5
+    rows = records[0].output
+    records[3].pull(np.full(3, 3.0))
+    buf = rows.grad
+    assert buf.shape == (4, 3)
+    for j in (0, 3, 1):
+        records[j + 1].pull(np.full(3, j + 1.0))
+        assert rows.grad is buf
+    records[0].pull(buf)
+    assert np.array_equal(x.grad, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
+
+
+def test_split_cols_rejects_a_vector():
+    with pytest.raises(ShapeError, match="2-d"):
+        nm.split_cols(rand((3,), 87))
+
+
+def nll_oracle(logits, labels):
+    """Per-column chain: softmax, pick the gold entry, floored log, mean."""
+    n = logits.shape[1]
+    total = None
+    for j, y in enumerate(labels):
+        col = nm.select_row(nm.transpose(logits), j)
+        ll = nm.log(nm.select_index(nm.softmax_over_axis(col, 0), y), floor=1e-12)
+        total = ll if total is None else nm.add(total, ll)
+    return nm.scale(total, -1.0 / n)
+
+
+def test_nll_columns_matches_per_column_oracle():
+    rng = np.random.default_rng(88)
+    for n in (1, 3, 16):
+        clear_tape()
+        x = Tensor(rng.standard_normal((5, n)) * 3.0, requires_grad=True)
+        labels = [int(y) for y in rng.integers(0, 5, size=n)]
+        got = nm.nll_columns(x, labels)
+        backward(got)
+        got_grad, x.grad = x.grad, None
+        clear_tape()
+        want = nll_oracle(x, labels)
+        backward(want)
+        assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+        assert np.max(np.abs(got_grad - x.grad)) <= 1e-12 * np.max(np.abs(x.grad))
+
+
+def test_nll_columns_clamped_column_gets_zero_gradient():
+    x = Tensor(np.array([[0.0, 0.0, 1.0], [-100.0, 2.0, 0.5], [0.0, -1.0, 0.0]]),
+               requires_grad=True)
+    out = nm.nll_columns(x, [1, 1, 2])
+    p = np.exp(x.data[:, 0]) / np.exp(x.data[:, 0]).sum()
+    assert p[1] < 1e-12
+    backward(out)
+    assert np.array_equal(x.grad[:, 0], np.zeros(3))
+    assert x.grad[:, 1:].any()
+    want = -(np.log(1e-12) + sum(np.log(np.exp(x.data[y, j]) / np.exp(x.data[:, j]).sum())
+                                 for j, y in ((1, 1), (2, 2)))) / 3.0
+    assert abs(out.item() - want) <= 1e-12 * abs(want)
+
+
+def test_nll_columns_fd():
+    x = rand((4, 3), 89)
+    fd_check(lambda: nm.nll_columns(x, [3, 0, 1]), [("x", x)])
+
+
+def test_nll_columns_rejects_bad_labels():
+    x = rand((4, 3), 90)
+    for labels in ([0, 1], [0, 1, 4], [0, -1, 2]):
+        with pytest.raises(ShapeError, match="n labels in"):
+            nm.nll_columns(x, labels)
+
+
 def test_dropout_zero_p_is_identity():
     x = rand((3, 4), 83)
     out = nm.dropout(x, 0.0, np.random.default_rng(0))
