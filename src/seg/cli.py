@@ -105,8 +105,8 @@ def _load_config_file(path: str | None, cls, what: str):
     if not p.exists():
         raise ValidationError(f"{what} config file not found: {p}")
     try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        obj = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as e:  # malformed JSON or bytes that are not UTF-8
         raise ValidationError(f"{what} config file {p} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} config file {p} must hold a JSON object")
@@ -117,7 +117,18 @@ def _load_config_file(path: str | None, cls, what: str):
             f"{what} config file {p} has unknown keys: {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(known))}"
         )
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in obj.items():
+        if _FITS.get(type(value), set()).isdisjoint(types[key].split(" | ")):
+            raise ValidationError(f"{what} config file {p}: {key} must be {types[key]}, "
+                                  f"got {value!r}")
     return dataclasses.replace(base, **obj)
+
+
+# The field annotations (such as "int" or "float | None") that each JSON value
+# type fits: an int fits a float field, a bool fits only a bool field.
+_FITS = {type(None): {"None"}, bool: {"bool"}, int: {"int", "float"}, float: {"float"},
+         str: {"str"}}
 
 
 def _apply_flags(config, pairs):
@@ -152,6 +163,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="seed for initialization and dropout")
 
 
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-len", type=int, default=120)
+    p.add_argument("--bag-cap", type=int, default=20)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-config", metavar="JSON", help="train config file")
     for name, typ in _TRAIN_FLAG_FIELDS:
@@ -181,7 +197,15 @@ def _resolve_train_config(args, out_dir: Path) -> TrainConfig:
     return config
 
 
-_CKPT_DATASET_KEYS = ("relation_names", "word_vocab", "entity_vocab", "fingerprint")
+_VOCAB_KEYS = ("relation_names", "word_vocab", "entity_vocab")
+_CKPT_DATASET_KEYS = _VOCAB_KEYS + ("fingerprint",)
+
+
+def _load_corpus(path, args, vocab: dict | None = None) -> Dataset:
+    """Load JSONL under --max-len and --bag-cap. ``vocab``, a dataset_meta
+    dict, fixes the relation table and both vocabularies."""
+    fixed = {k: vocab[k] for k in _VOCAB_KEYS} if vocab else {}
+    return load_jsonl(path, max_len=args.max_len, bag_cap=args.bag_cap, **fixed)
 
 
 def _load_with_checkpoint_vocab(path, manifest: dict, what: str, args) -> Dataset:
@@ -192,11 +216,9 @@ def _load_with_checkpoint_vocab(path, manifest: dict, what: str, args) -> Datase
         raise ValidationError(f"checkpoint manifest's dataset entry lacks key(s) "
                               f"{', '.join(missing)}")
     try:
-        return load_jsonl(path, relation_names=meta["relation_names"],
-                          word_vocab=meta["word_vocab"], entity_vocab=meta["entity_vocab"],
-                          max_len=args.max_len, bag_cap=args.bag_cap)
+        return _load_corpus(path, args, meta)
     except DataError as e:
-        got = dataset_meta(load_jsonl(path, max_len=args.max_len, bag_cap=args.bag_cap))
+        got = dataset_meta(_load_corpus(path, args))
         raise ValidationError(
             f"{what} data does not match the checkpoint vocabulary (checkpoint fingerprint "
             f"{meta['fingerprint']}, standalone data fingerprint {got['fingerprint']}): {e}"
@@ -244,7 +266,7 @@ def cmd_train(args) -> int:
         start_step = int(manifest.get("step", 0))
         train_ds = _load_with_checkpoint_vocab(args.train_data, manifest, "training", args)
     else:
-        train_ds = load_jsonl(args.train_data, max_len=args.max_len, bag_cap=args.bag_cap)
+        train_ds = _load_corpus(args.train_data, args)
         model_config = _resolve_model_config(args, len(train_ds.relation_names))
 
     train_config = _resolve_train_config(args, out_dir)
@@ -253,18 +275,8 @@ def cmd_train(args) -> int:
             f"checkpoint is already at step {start_step}; raise --max-steps to continue"
         )
 
-    eval_ds = None
-    if args.eval_data:
-        eval_ds = load_jsonl(
-            args.eval_data,
-            relation_names=train_ds.relation_names,
-            word_vocab=train_ds.word_vocab,
-            entity_vocab=train_ds.entity_vocab,
-            max_len=args.max_len,
-            bag_cap=args.bag_cap,
-        )
-
     train_meta = dataset_meta(train_ds)
+    eval_ds = _load_corpus(args.eval_data, args, train_meta) if args.eval_data else None
     _write_manifest(out_dir, "train", {
         "inputs": {"train_data": args.train_data, "eval_data": args.eval_data,
                    "resume": args.resume},
@@ -373,15 +385,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_ds = load_jsonl(args.train_data, max_len=args.max_len, bag_cap=args.bag_cap)
-    test_ds = load_jsonl(
-        args.test_data,
-        relation_names=train_ds.relation_names,
-        word_vocab=train_ds.word_vocab,
-        entity_vocab=train_ds.entity_vocab,
-        max_len=args.max_len,
-        bag_cap=args.bag_cap,
-    )
+    train_ds = _load_corpus(args.train_data, args)
+    meta = dataset_meta(train_ds)
+    test_ds = _load_corpus(args.test_data, args, meta)
     out_dir = Path(args.out_dir)
     base_model = _resolve_model_config(args, len(train_ds.relation_names))
     train_config = _resolve_train_config(args, out_dir)
@@ -399,7 +405,6 @@ def cmd_ablate(args) -> int:
         "outputs": {"table": str(out_dir / "ablation.csv")},
     })
 
-    meta = dataset_meta(train_ds)
     rows = []
     for variant in VARIANTS:
         model_config = dataclasses.replace(base_model, variant=variant)
@@ -454,8 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pretrained-embeddings", metavar="TXT",
                    help="text file of word vectors to overwrite matching rows "
                         "of the initial word table (ignored with --resume)")
-    p.add_argument("--max-len", type=int, default=120)
-    p.add_argument("--bag-cap", type=int, default=20)
+    _add_corpus_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -467,8 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--one-sentence-only", action="store_true",
                    help="keep only single-sentence bags")
     p.add_argument("--subsample-seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=120)
-    p.add_argument("--bag-cap", type=int, default=20)
+    _add_corpus_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every variant")
@@ -485,8 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train-data", required=True)
     p.add_argument("--test-data", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--max-len", type=int, default=120)
-    p.add_argument("--bag-cap", type=int, default=20)
+    _add_corpus_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -304,6 +305,17 @@ def _require(cond: bool, lineno: int, msg: str) -> None:
         raise DataError(f"line {lineno}: {msg}")
 
 
+@contextmanager
+def open_text(path: Path, what: str):
+    """Open a UTF-8 text file for reading; a byte that does not decode, met
+    anywhere in the ``with`` body, becomes a DataError naming the file."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise DataError(f"{what} {path} is not UTF-8 text: {e}") from None
+
+
 def load_jsonl(
     path,
     relation_names: list[str] | None = None,
@@ -333,7 +345,7 @@ def load_jsonl(
     raw: list[tuple[tuple, SentenceExample]] = []
     seen_relations: list[str] = []
     dropped = 0
-    with path.open() as fh:
+    with open_text(path, "corpus file") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

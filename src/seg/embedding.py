@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .data import SentenceExample
+from .data import SentenceExample, open_text
 from .errors import DataError, ShapeError
 from .numerics import Tensor
 
@@ -76,7 +76,7 @@ def load_pretrained_words(
     path = Path(path)
     if not path.exists():
         raise DataError(f"embedding file not found: {path}")
-    with path.open() as fh:
+    with open_text(path, "embedding file") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -113,10 +113,8 @@ def embed_entity_concat(sent: SentenceExample, tables: EmbeddingTables) -> Tenso
     """Entity view: (3*word_dim, n), with both entity surface vectors tiled."""
     n = len(sent.tokens)
     word_cols = nm.embedding_lookup(tables.word, sent.tokens)
-    head_vec = nm.embedding_lookup(tables.word, [sent.tokens[sent.head_pos]])
-    tail_vec = nm.embedding_lookup(tables.word, [sent.tokens[sent.tail_pos]])
-    head_cols = nm.broadcast_cols(head_vec, n)
-    tail_cols = nm.broadcast_cols(tail_vec, n)
+    head_cols = nm.embedding_lookup(tables.word, [sent.tokens[sent.head_pos]] * n)
+    tail_cols = nm.embedding_lookup(tables.word, [sent.tokens[sent.tail_pos]] * n)
     return nm.concat([word_cols, head_cols, tail_cols], axis=0)
 
 
@@ -136,4 +134,5 @@ def entity_aware_embed(x_pos: Tensor, x_ent: Tensor, params: EntityAwareGatePara
         nm.scale(nm.add(nm.matmul(params.w_gate, x_ent), params.b_gate), params.gate_smoothing)
     )
     projected = nm.tanh(nm.add(nm.matmul(params.w_proj, x_pos), params.b_proj))
-    return nm.add(nm.mul(alpha, x_ent), nm.mul(1.0 - alpha, projected))
+    return nm.add(nm.mul(alpha, x_ent),
+                  nm.mul(nm.shift(nm.scale(alpha, -1.0), 1.0), projected))

@@ -5,7 +5,8 @@ embeds each sentence with the entity-aware gated mix, encodes it twice in
 parallel (piecewise convolution for the feature vector, self-attention for
 the gate summary), aggregates the bag through the selective gate, and
 classifies with a one-hidden-layer MLP. Ablation variants drop or replace
-individual pieces:
+individual pieces; ``VARIANT_WIRING`` is the one table of which pieces each
+variant wires:
 
   seg                  full model
   seg_wo_ent           positional embedding only, no entity-aware mix
@@ -30,6 +31,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,21 +58,29 @@ from .encoders import PcnnParams, SelfAttnParams, pcnn_encode, self_attn_encode,
 from .errors import DataError, ValidationError
 from .numerics import Tensor
 
-VARIANTS = (
-    "seg",
-    "seg_wo_ent",
-    "seg_wo_gate",
-    "seg_wo_gate_wo_attn",
-    "seg_wo_all",
-    "seg_attn_wo_gate",
-    "seg_attn",
-    "seg_stack",
-)
 
-_ENTITY_FREE = frozenset({"seg_wo_ent", "seg_wo_all"})
-_GATED = frozenset({"seg", "seg_wo_ent", "seg_attn", "seg_stack"})
-_SELF_ATTN = _GATED | {"seg_wo_gate"}
-_SELECTIVE_ATTN = frozenset({"seg_wo_all", "seg_attn_wo_gate", "seg_attn"})
+class Wiring(NamedTuple):
+    """The pieces one variant wires together."""
+
+    entity_mix: bool      # entity-aware gated mix; else the positional view alone
+    self_attn: bool       # self-attention summary u_j per sentence
+    gate: bool            # selective gate g_j from u_j
+    selective_attn: bool  # relation-query attention over the bag
+    stacked: bool         # self-attention reweights columns before the convolution
+
+
+VARIANT_WIRING = {
+    #                      entity_mix self_attn gate   selective_attn stacked
+    "seg":                 Wiring(True,  True,  True,  False, False),
+    "seg_wo_ent":          Wiring(False, True,  True,  False, False),
+    "seg_wo_gate":         Wiring(True,  True,  False, False, False),
+    "seg_wo_gate_wo_attn": Wiring(True,  False, False, False, False),
+    "seg_wo_all":          Wiring(False, False, False, True,  False),
+    "seg_attn_wo_gate":    Wiring(True,  False, False, True,  False),
+    "seg_attn":            Wiring(True,  True,  True,  True,  False),
+    "seg_stack":           Wiring(True,  True,  True,  False, True),
+}
+VARIANTS = tuple(VARIANT_WIRING)
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,12 @@ class ModelConfig:
         return self.word_dim + 2 * self.pos_dim
 
     @property
+    def wiring(self) -> Wiring:
+        return VARIANT_WIRING[self.variant]
+
+    @property
     def encoder_input_dim(self) -> int:
-        return self.pos_view_dim if self.variant in _ENTITY_FREE else self.embed_dim
+        return self.embed_dim if self.wiring.entity_mix else self.pos_view_dim
 
     @property
     def feat_dim(self) -> int:
@@ -106,29 +120,30 @@ class ModelConfig:
 
     @property
     def uses_entity_mix(self) -> bool:
-        return self.variant not in _ENTITY_FREE
+        return self.wiring.entity_mix
 
     @property
     def uses_gate(self) -> bool:
-        return self.variant in _GATED
+        return self.wiring.gate
 
     @property
     def uses_self_attn(self) -> bool:
-        return self.variant in _SELF_ATTN
+        return self.wiring.self_attn
 
     @property
     def uses_selective_attn(self) -> bool:
-        return self.variant in _SELECTIVE_ATTN
+        return self.wiring.selective_attn
 
     @property
     def aggregate_dim(self) -> int:
-        if self.variant == "seg_wo_gate":
+        """Concat variants (self-attention without a gate) append u_j to s_j."""
+        if self.uses_self_attn and not self.uses_gate:
             return self.feat_dim + self.encoder_input_dim
         return self.feat_dim
 
 
 def validate_config(config: ModelConfig) -> None:
-    if config.variant not in VARIANTS:
+    if config.variant not in VARIANT_WIRING:
         raise ValidationError(
             f"unknown variant {config.variant!r}; expected one of: " + ", ".join(VARIANTS)
         )
@@ -258,7 +273,7 @@ def _sentence_vectors(bag: Bag, params: SegParams, config: ModelConfig):
             x = entity_aware_embed(x_pos, x_ent, params.entity_gate)
         else:
             x = x_pos
-        if config.variant == "seg_stack":
+        if config.wiring.stacked:
             s = stacked_encode(x, sent.head_pos, sent.tail_pos, params.pcnn, params.self_attn)
         else:
             s = pcnn_encode(x, sent.head_pos, sent.tail_pos, params.pcnn)
@@ -272,20 +287,17 @@ def _aggregate(feats, summaries, gates, relation, params: SegParams,
                config: ModelConfig) -> Tensor:
     """The bag vector. Attention variants take a relation index, its target
     (see selective_attention_aggregate), or None for a (feat, R) matrix."""
-    v = config.variant
-    if v in ("seg", "seg_wo_ent", "seg_stack"):
-        return gate_aggregate(feats, gates, config.scalar_gate)
-    if v == "seg_wo_gate":
-        return concat_aggregate(feats, summaries)
-    if v == "seg_wo_gate_wo_attn":
-        return mean_vectors(feats)
-    if v in ("seg_wo_all", "seg_attn_wo_gate"):
-        return selective_attention_aggregate(feats, relation, params.selective_attn)
-    if v == "seg_attn":
+    if config.uses_selective_attn and config.uses_gate:
         return gate_plus_attention_aggregate(
             feats, gates, relation, params.selective_attn, config.scalar_gate
         )
-    raise ValidationError(f"unknown variant {v!r}")
+    if config.uses_selective_attn:
+        return selective_attention_aggregate(feats, relation, params.selective_attn)
+    if config.uses_gate:
+        return gate_aggregate(feats, gates, config.scalar_gate)
+    if config.uses_self_attn:
+        return concat_aggregate(feats, summaries)
+    return mean_vectors(feats)
 
 
 def _bag_columns(aggs, config: ModelConfig, train_mode: bool, rng) -> Tensor:
@@ -305,28 +317,22 @@ def _classify(c: Tensor, params: SegParams) -> Tensor:
     return nm.add(nm.matmul(params.cls_w_out, hidden), params.cls_b_out)
 
 
-def forward_bag(bag: Bag, params: SegParams, config: ModelConfig,
-                train_mode: bool = False, rng=None) -> BagPrediction:
-    """Predict one bag. Never records gradients.
+def forward_bag(bag: Bag, params: SegParams, config: ModelConfig) -> BagPrediction:
+    """Predict one bag in eval mode. Never records gradients.
 
-    The gate network runs once over the bag. Train mode takes the head of
-    ``loss``: the gold query, dropout, one classifier column. In eval mode
-    the selective-attention variants let all relations attend in one pass:
-    the aggregate has one column per relation query, one classifier pass
-    scores every column, and confidence[r] is column r's probability of r.
-    probs is their normalization so it remains a distribution.
+    The gate network runs once over the bag. The selective-attention
+    variants let all relations attend in one pass: the aggregate has one
+    column per relation query, one classifier pass scores every column, and
+    confidence[r] is column r's probability of r. probs is their
+    normalization so it remains a distribution.
     """
-    every = config.uses_selective_attn and not train_mode
     with nm.no_grad():
         feats, summaries = _sentence_vectors(bag, params, config)
         gates = gate_values(summaries, params.gate) if config.uses_gate else None
-        c = _aggregate(feats, summaries, gates, None if every else bag.label, params, config)
-        if train_mode:
-            c = _bag_columns([c], config, train_mode, rng)
+        c = _aggregate(feats, summaries, gates, None, params, config)
         dist = nm.softmax_over_axis(_classify(c, params), 0).data
-    if not every:
-        probs = dist.reshape(-1)
-        return BagPrediction(probs=probs, predicted=int(np.argmax(probs)), confidence=probs)
+    if not config.uses_selective_attn:
+        return BagPrediction(probs=dist, predicted=int(np.argmax(dist)), confidence=dist)
     confidence = np.diagonal(dist).copy()
     total = confidence.sum()
     probs = confidence / total if total > 0 else np.full_like(confidence, 1.0 / confidence.size)
@@ -415,8 +421,8 @@ def load_checkpoint(path) -> tuple[SegParams, ModelConfig, dict]:
     if not man_path.exists() or not bin_path.exists():
         raise ValidationError(f"checkpoint not found: {man_path} / {bin_path}")
     try:
-        manifest = json.loads(man_path.read_text())
-    except json.JSONDecodeError as e:
+        manifest = json.loads(man_path.read_text(encoding="utf-8"))
+    except ValueError as e:  # malformed JSON or bytes that are not UTF-8
         raise ValidationError(f"checkpoint manifest {man_path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
         raise ValidationError(f"unrecognized checkpoint format in {man_path}")
@@ -424,6 +430,7 @@ def load_checkpoint(path) -> tuple[SegParams, ModelConfig, dict]:
         config = ModelConfig(**manifest["model_config"])
         vocab_size, recorded, _ = manifest["vocab_size"], manifest["registry"], manifest["dataset"]
         recorded_names = [r["name"] for r in recorded]
+        recorded_shapes = [tuple(r["shape"]) for r in recorded]
     except KeyError as e:
         raise ValidationError(f"checkpoint manifest {man_path} lacks key {e}") from None
     except TypeError as e:
@@ -432,21 +439,23 @@ def load_checkpoint(path) -> tuple[SegParams, ModelConfig, dict]:
     if [n for n, _ in params.registry] != recorded_names:
         raise ValidationError("checkpoint registry does not match the configured variant")
     with bin_path.open("rb") as fh:
-        for (name, t), rec in zip(params.registry, recorded):
-            rank = int(np.fromfile(fh, dtype=np.int64, count=1)[0])
-            shape = tuple(int(d) for d in np.fromfile(fh, dtype=np.int64, count=rank))
-            if shape != t.shape or list(shape) != list(rec["shape"]):
+        for (name, t), rec_shape in zip(params.registry, recorded_shapes):
+            head = np.fromfile(fh, dtype=np.int64, count=1 + t.ndim)  # rank, then dims
+            if head.size != 1 + t.ndim:
+                raise ValidationError(f"checkpoint binary {bin_path} truncated at tensor {name}")
+            shape = tuple(int(d) for d in head[1:])
+            if head[0] != t.ndim or shape != t.shape or shape != rec_shape:
                 raise ValidationError(
-                    f"checkpoint tensor {name} has shape {shape}, expected {t.shape}"
+                    f"checkpoint tensor {name} has rank {int(head[0])} and shape {shape}, "
+                    f"expected {t.shape}"
                 )
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.fromfile(fh, dtype=np.float64, count=count)
-            if data.size != count:
-                raise ValidationError(f"checkpoint binary truncated at tensor {name}")
+            data = np.fromfile(fh, dtype=np.float64, count=t.size)
+            if data.size != t.size:
+                raise ValidationError(f"checkpoint binary {bin_path} truncated at tensor {name}")
             t.data = data.reshape(shape)
         trailing = fh.read(1)
         if trailing:
-            raise ValidationError("checkpoint binary has trailing bytes")
+            raise ValidationError(f"checkpoint binary {bin_path} has trailing bytes")
     return params, config, manifest
 
 

@@ -52,38 +52,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def backward(self) -> None:
-        backward(self)
-
-    # Arithmetic sugar; everything routes through the recorded primitives.
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -float(other))
-        return add(self, scale(other, -1.0))
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), float(other))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -187,8 +155,8 @@ def backward(loss: Tensor) -> None:
 # Elementwise primitives.
 #
 # Binary ops accept identical shapes, a scalar on either side, or a
-# per-channel vector (d,) or column (d,1) against a (d,n) matrix. The vector
-# case broadcasts across the sequence axis (columns).
+# per-channel vector (d,) against a (d,n) matrix in either order; the vector
+# broadcasts across the sequence axis (columns).
 # ---------------------------------------------------------------------------
 
 
@@ -202,10 +170,6 @@ def _pair_views(a: Tensor, b: Tensor) -> tuple[Array, Array]:
         return a.data, b.data[:, None]
     if len(sa) == 1 and len(sb) == 2 and sa[0] == sb[0]:
         return a.data[:, None], b.data
-    if len(sa) == 2 and len(sb) == 2 and sb == (sa[0], 1):
-        return a.data, b.data
-    if len(sa) == 2 and len(sb) == 2 and sa == (sb[0], 1):
-        return a.data, b.data
     raise ShapeError(f"incompatible shapes for elementwise op: {sa} vs {sb}")
 
 
@@ -216,8 +180,6 @@ def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
         return np.asarray(g.sum())
     if len(shape) == 1:
         return g.sum(axis=1)
-    if len(shape) == 2 and shape[1] == 1:
-        return g.sum(axis=1, keepdims=True)
     raise InternalError(f"cannot reduce gradient of shape {g.shape} to {shape}")
 
 
@@ -454,24 +416,6 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
             np.add.at(table.grad, idx, g.T)
 
     return _result(out, (table,), pull)
-
-
-def broadcast_cols(v: Tensor, n: int) -> Tensor:
-    """Repeat a (d,) or (d,1) vector across n columns, giving (d, n)."""
-    if v.ndim == 1:
-        col = v.data[:, None]
-    elif v.ndim == 2 and v.shape[1] == 1:
-        col = v.data
-    else:
-        raise ShapeError(f"broadcast_cols needs a vector or single column, got {v.shape}")
-    if n < 1:
-        raise ShapeError("broadcast_cols needs at least one column")
-    out = np.repeat(col, n, axis=1)
-
-    def pull(g: Array) -> None:
-        _accum(v, _reduce_to(g, v.shape))
-
-    return _result(out, (v,), pull)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

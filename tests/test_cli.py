@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, manifests, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +102,22 @@ def test_seg_threads_caps_blas_threads_of_a_fresh_process(seg_threads):
     assert out.returncode == 0, out.stderr
     threads = int(out.stdout.strip())
     assert 1 <= threads <= int(seg_threads)
+
+
+def test_reruns_at_two_threads_are_byte_identical(tmp_path):
+    corpus = synth(tmp_path)
+    src = Path(seg.cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in seg.cli.THREAD_VARS}
+    env.update(SEG_THREADS="2", PYTHONPATH=str(src))
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        argv = [sys.executable, "-m", "seg.cli", "train", "--train-data",
+                str(corpus / "train.jsonl"), "--out-dir", str(out), "--max-steps", "3"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append([(out / f).read_bytes() for f in ("ckpt_final.bin", "history.csv")])
+    assert runs[0] == runs[1]
 
 
 # -- synth ----------------------------------------------------------------------
@@ -378,6 +395,60 @@ def test_eval_unparseable_checkpoint_manifest_exits_one(tmp_path, capsys, how):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint manifest") and err.count("\n") == 1
+
+
+def _bad_input(tmp_path, case):
+    """Write one bad input; return the argv that reads it and the name that
+    the error must carry (the file, or the config key)."""
+    corpus = synth(tmp_path)
+    bad = tmp_path / "bad_input"
+
+    def train(*extra, data=corpus / "train.jsonl"):
+        return ["train", "--train-data", str(data), "--out-dir", str(tmp_path / "bad_run"),
+                "--max-steps", "1"] + TINY_MODEL + list(extra)
+
+    if case in ("empty_bin", "bin_cut_at_tensor", "manifest_not_utf8"):
+        run = quick_train(tmp_path, corpus)
+        man, binary = run / "ckpt_final.json", run / "ckpt_final.bin"
+        if case == "manifest_not_utf8":
+            man.write_bytes(b"\xff" + man.read_bytes())
+            named = man
+        else:
+            shape = json.loads(man.read_text())["registry"][0]["shape"]
+            cut = 0 if case == "empty_bin" else 8 * (1 + len(shape) + math.prod(shape))
+            binary.write_bytes(binary.read_bytes()[:cut])
+            named = binary
+        return ["eval", "--checkpoint", str(man), "--test-data", str(corpus / "test.jsonl"),
+                "--out-dir", str(tmp_path / "out")], str(named)
+    if case == "corpus_not_utf8":
+        bad.write_bytes((corpus / "train.jsonl").read_bytes() + b"\xff\n")
+        return train(data=bad), str(bad)
+    if case == "pretrained_not_utf8":
+        bad.write_bytes(b"w\xff 0.5 0.5 0.5\n")
+        return train("--pretrained-embeddings", str(bad)), str(bad)
+    if case == "model_config_not_utf8":
+        bad.write_bytes(b'{"word_dim": "\xff"}')
+        return train("--model-config", str(bad)), str(bad)
+    what, key, value = {"model_config_wrong_type": ("--model-config", "word_dim", "x"),
+                        "train_config_wrong_type": ("--train-config", "lr0", "x"),
+                        "synth_spec_wrong_type": ("--spec-file", "num_bags", 2.5)}[case]
+    bad.write_text(json.dumps({key: value}))
+    if what == "--spec-file":
+        return ["synth", "--out-dir", str(tmp_path / "bad_synth"), what, str(bad)], key
+    return train(what, str(bad)), key
+
+
+@pytest.mark.parametrize("case", [
+    "empty_bin", "bin_cut_at_tensor", "manifest_not_utf8", "corpus_not_utf8",
+    "pretrained_not_utf8", "model_config_not_utf8", "model_config_wrong_type",
+    "train_config_wrong_type", "synth_spec_wrong_type"])
+def test_bad_input_exits_one_naming_it(tmp_path, capsys, case):
+    argv, named = _bad_input(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
 
 
 # -- gradcheck --------------------------------------------------------------------

@@ -170,12 +170,11 @@ def test_forward_probs_are_distributions_for_all_variants():
         config = tiny(variant)
         params = SegParams(config, VOCAB)
         for bag in bags:
-            for train_mode in (False, True):
-                pred = forward_bag(bag, params, config, train_mode=train_mode)
-                assert pred.probs.shape == (config.num_relations,)
-                assert abs(pred.probs.sum() - 1.0) < 1e-9, variant
-                assert (pred.probs >= 0).all()
-                assert pred.predicted == int(np.argmax(pred.probs))
+            pred = forward_bag(bag, params, config)
+            assert pred.probs.shape == (config.num_relations,)
+            assert abs(pred.probs.sum() - 1.0) < 1e-9, variant
+            assert (pred.probs >= 0).all()
+            assert pred.predicted == int(np.argmax(pred.probs))
 
 
 def test_forward_records_nothing_on_tape():
@@ -189,15 +188,13 @@ def test_eval_confidence_uses_per_relation_queries():
     config = tiny("seg_wo_all")
     params = SegParams(config, VOCAB)
     bag = one_bag(3, label=2)
-    pred = forward_bag(bag, params, config, train_mode=False)
+    pred = forward_bag(bag, params, config)
     # Each confidence entry is that relation's own softmax mass, so the
     # vector need not normalize; probs is its explicit normalization.
     assert pred.confidence.shape == (config.num_relations,)
     assert ((pred.confidence >= 0) & (pred.confidence <= 1)).all()
     assert abs(pred.probs.sum() - 1.0) < 1e-12
     assert np.allclose(pred.probs, pred.confidence / pred.confidence.sum())
-    train_pred = forward_bag(bag, params, config, train_mode=True)
-    assert np.array_equal(train_pred.probs, train_pred.confidence)
 
 
 def per_relation_confidence(bag, params, config):
@@ -244,7 +241,7 @@ def test_train_forward_with_dropout_requires_rng():
     config = tiny(dropout_p=0.5)
     params = SegParams(config, VOCAB)
     with pytest.raises(ValidationError, match="random generator"):
-        forward_bag(one_bag(1), params, config, train_mode=True)
+        loss([one_bag(1)], params, config, train_mode=True, rng=None)
 
 
 # -- loss ------------------------------------------------------------------

@@ -338,10 +338,13 @@ def test_select_and_sum_fd():
     fd_check(build, [("m", m)])
 
 
-def test_broadcast_cols_fd():
-    v = rand((3,), 81)
-    w = rand((3, 5), 82)
-    fd_check(lambda: nm.sum_all(nm.mul(nm.broadcast_cols(v, 5), w)), [("v", v)])
+def test_repeated_id_lookup_tiles_a_row_fd():
+    # The entity view tiles each surface vector as one lookup of a repeated id.
+    table, w = rand((6, 3), 81), rand((3, 5), 82)
+    assert np.array_equal(nm.embedding_lookup(table, [4] * 5).data,
+                          np.tile(table.data[4][:, None], (1, 5)))
+    fd_check(lambda: nm.sum_all(nm.mul(nm.embedding_lookup(table, [4, 1, 4, 4, 1]), w)),
+             [("table", table)])
 
 
 def test_split_cols_values_and_fd():
