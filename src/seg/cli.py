@@ -1,12 +1,12 @@
 """Command-line front end: synth, train, eval, gradcheck, ablate.
 
 Configuration resolves in three layers: dataclass defaults, then a JSON
-config file, then explicit flags. Exactly two seeds exist: the data seed
-drives generation, shuffling, and subsampling; the model seed drives
-initialization and dropout. Every command writes a run manifest into its
-output directory before doing any real work, and a finished run is fully
-reproducible from that manifest. Exit codes: 0 success, 1 invalid input
-or configuration, 2 runtime failure.
+config file, then explicit flags; each config dataclass field is a flag.
+Exactly two seeds exist: the data seed drives generation, shuffling, and
+subsampling; the model seed drives initialization and dropout. Every
+command writes a run manifest into its output directory before doing any
+real work, and a finished run is fully reproducible from that manifest.
+Exit codes: 0 success, 1 invalid input or configuration, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ with contextlib.suppress(ValidationError):
 from .data import (
     Dataset,
     SynthSpec,
+    check_json_fields,
     dataset_meta,
     filter_one_sentence,
     generate_synthetic_with_manifest,
@@ -56,6 +57,7 @@ from .evaluation import build_eval_report, write_pr_csv, write_report_json
 from .model import (
     VARIANTS,
     ModelConfig,
+    SegParams,
     load_checkpoint,
     run_gradcheck,
     save_checkpoint,
@@ -96,71 +98,45 @@ def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
     )
 
 
-def _load_config_file(path: str | None, cls, what: str):
-    """Apply a JSON object file over the dataclass defaults."""
-    base = cls()
-    if path is None:
-        return base
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"{what} config file not found: {p}")
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as e:  # malformed JSON or bytes that are not UTF-8
-        raise ValidationError(f"{what} config file {p} is not valid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} config file {p} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ValidationError(
-            f"{what} config file {p} has unknown keys: {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(known))}"
-        )
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for key, value in obj.items():
-        if _FITS.get(type(value), set()).isdisjoint(types[key].split(" | ")):
-            raise ValidationError(f"{what} config file {p}: {key} must be {types[key]}, "
-                                  f"got {value!r}")
-    return dataclasses.replace(base, **obj)
+# Each config class: the flag naming its JSON file, and what that file is called.
+_CONFIG_FILE_FLAG = {
+    ModelConfig: ("model_config", "model"),
+    TrainConfig: ("train_config", "train"),
+    SynthSpec: ("spec_file", "synth"),
+}
+# Fields that are not flags: the relation count always comes from the data,
+# and the checkpoint directory from --out-dir.
+_NOT_FLAGS = {(ModelConfig, "num_relations"), (TrainConfig, "checkpoint_dir")}
+_FLAG_HELP = {
+    "scalar_gate": "collapse each gate vector to its mean",
+    "model_seed": "seed for initialization and dropout",
+    "data_seed": "seed for generation, shuffling and subsampling",
+}
 
 
-# The field annotations (such as "int" or "float | None") that each JSON value
-# type fits: an int fits a float field, a bool fits only a bool field.
-_FITS = {type(None): {"None"}, bool: {"bool"}, int: {"int", "float"}, float: {"float"},
-         str: {"str"}}
+def _flag_fields(cls) -> dict[str, dataclasses.Field]:
+    """The fields of ``cls`` that are flags, keyed by the flag's dest. A seed
+    flag names its seed: --model-seed for the model, --data-seed otherwise."""
+    seed = "model_seed" if cls is ModelConfig else "data_seed"
+    return {seed if f.name == "seed" else f.name: f for f in dataclasses.fields(cls)
+            if (cls, f.name) not in _NOT_FLAGS}
 
 
-def _apply_flags(config, pairs):
-    """Overlay (field, value) pairs where the value is not None."""
-    updates = {field: value for field, value in pairs if value is not None}
-    return dataclasses.replace(config, **updates) if updates else config
-
-
-_MODEL_FLAG_FIELDS = (
-    ("word_dim", int), ("pos_dim", int), ("conv_channels", int), ("embed_dim", int),
-    ("kernel_width", int), ("pos_clip", int), ("gate_smoothing", float),
-    ("l2_coef", float), ("dropout_p", float), ("cls_hidden", int),
-)
-_TRAIN_FLAG_FIELDS = (
-    ("lr0", float), ("decay_every", int), ("decay_factor", float), ("max_steps", int),
-    ("batch_size", int), ("eval_every", int), ("clip_norm", float),
-)
-_SYNTH_FLAG_FIELDS = (
-    ("num_relations", int), ("num_entities", int), ("vocab_size", int), ("num_bags", int),
-    ("one_sentence_fraction", float), ("noise_rate", float), ("max_len", int),
-)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-config", metavar="JSON", help="model config file")
-    for name, typ in _MODEL_FLAG_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--scalar-gate", action="store_const", const=True, default=None,
-                   help="collapse each gate vector to its mean")
-    p.add_argument("--model-seed", type=int, default=None,
-                   help="seed for initialization and dropout")
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """The config-file flag of ``cls`` and one flag per field, typed by the
+    field's annotation. Flags default to None, meaning "not given"."""
+    file_dest, what = _CONFIG_FILE_FLAG[cls]
+    p.add_argument(f"--{file_dest.replace('_', '-')}", metavar="JSON",
+                   help=f"{what} config file")
+    for dest, f in _flag_fields(cls).items():
+        flag, kind = f"--{dest.replace('_', '-')}", f.type.split(" | ")[0]
+        if kind == "bool":
+            p.add_argument(flag, action="store_const", const=True, default=None,
+                           help=_FLAG_HELP.get(dest))
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}.get(kind),
+                           default=None, choices=VARIANTS if dest == "variant" else None,
+                           help=_FLAG_HELP.get(dest))
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -168,33 +144,23 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bag-cap", type=int, default=20)
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-config", metavar="JSON", help="train config file")
-    for name, typ in _TRAIN_FLAG_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
-    p.add_argument("--data-seed", type=int, default=None,
-                   help="seed for shuffling and subsampling")
-
-
-def _resolve_model_config(args, num_relations: int) -> ModelConfig:
-    config = _load_config_file(args.model_config, ModelConfig, "model")
-    pairs = [(name, getattr(args, name)) for name, _ in _MODEL_FLAG_FIELDS]
-    pairs += [("variant", args.variant), ("scalar_gate", args.scalar_gate),
-              ("seed", args.model_seed)]
-    config = _apply_flags(config, pairs)
-    if config.num_relations != num_relations:
-        config = dataclasses.replace(config, num_relations=num_relations)
-    return config
-
-
-def _resolve_train_config(args, out_dir: Path) -> TrainConfig:
-    config = _load_config_file(args.train_config, TrainConfig, "train")
-    pairs = [(name, getattr(args, name)) for name, _ in _TRAIN_FLAG_FIELDS]
-    pairs += [("seed", args.data_seed)]
-    config = _apply_flags(config, pairs)
-    if config.checkpoint_dir is None:
-        config = dataclasses.replace(config, checkpoint_dir=str(out_dir / "checkpoints"))
-    return config
+def _resolve_config(args, cls, **fixed):
+    """Dataclass defaults, then the JSON config file, then the flags given, then ``fixed``."""
+    file_dest, what = _CONFIG_FILE_FLAG[cls]
+    from_file = {}
+    if getattr(args, file_dest) is not None:
+        p = Path(getattr(args, file_dest))
+        if not p.exists():
+            raise ValidationError(f"{what} config file not found: {p}")
+        try:
+            from_file = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as e:  # malformed JSON or bytes that are not UTF-8
+            raise ValidationError(f"{what} config file {p} is not valid JSON: {e}") from None
+        check_json_fields(from_file, {f.name: f.type for f in dataclasses.fields(cls)},
+                          f"{what} config file {p}")
+    given = {f.name: getattr(args, dest) for dest, f in _flag_fields(cls).items()
+             if getattr(args, dest) is not None}
+    return cls(**{**from_file, **given, **fixed})
 
 
 _VOCAB_KEYS = ("relation_names", "word_vocab", "entity_vocab")
@@ -231,10 +197,7 @@ def _load_with_checkpoint_vocab(path, manifest: dict, what: str, args) -> Datase
 
 
 def cmd_synth(args) -> int:
-    spec = _load_config_file(args.spec_file, SynthSpec, "synth")
-    pairs = [(name, getattr(args, name)) for name, _ in _SYNTH_FLAG_FIELDS]
-    pairs += [("seed", args.data_seed)]
-    spec = _apply_flags(spec, pairs)
+    spec = _resolve_config(args, SynthSpec)
 
     out_dir = Path(args.out_dir)
     _write_manifest(out_dir, "synth", {
@@ -263,13 +226,17 @@ def cmd_train(args) -> int:
     resume_params = None
     if args.resume:
         resume_params, model_config, manifest = load_checkpoint(args.resume)
-        start_step = int(manifest.get("step", 0))
+        start_step = manifest["step"]
         train_ds = _load_with_checkpoint_vocab(args.train_data, manifest, "training", args)
     else:
         train_ds = _load_corpus(args.train_data, args)
-        model_config = _resolve_model_config(args, len(train_ds.relation_names))
+        model_config = _resolve_config(args, ModelConfig,
+                                       num_relations=len(train_ds.relation_names))
 
-    train_config = _resolve_train_config(args, out_dir)
+    train_config = _resolve_config(args, TrainConfig)
+    if train_config.checkpoint_dir is None:
+        train_config = dataclasses.replace(train_config,
+                                           checkpoint_dir=str(out_dir / "checkpoints"))
     if args.resume and start_step >= train_config.max_steps:
         raise ValidationError(
             f"checkpoint is already at step {start_step}; raise --max-steps to continue"
@@ -294,8 +261,6 @@ def cmd_train(args) -> int:
     })
 
     if args.pretrained_embeddings and not args.resume:
-        from .model import SegParams
-
         resume_params = SegParams(model_config, len(train_ds.word_vocab))
         vectors, found = load_pretrained_words(
             args.pretrained_embeddings, train_ds.word_vocab, model_config.word_dim
@@ -389,9 +354,8 @@ def cmd_ablate(args) -> int:
     meta = dataset_meta(train_ds)
     test_ds = _load_corpus(args.test_data, args, meta)
     out_dir = Path(args.out_dir)
-    base_model = _resolve_model_config(args, len(train_ds.relation_names))
-    train_config = _resolve_train_config(args, out_dir)
-    train_config = dataclasses.replace(train_config, checkpoint_dir=None)
+    base_model = _resolve_config(args, ModelConfig, num_relations=len(train_ds.relation_names))
+    train_config = _resolve_config(args, TrainConfig, checkpoint_dir=None)
 
     _write_manifest(out_dir, "ablate", {
         "inputs": {"train_data": args.train_data, "test_data": args.test_data},
@@ -444,10 +408,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic noisy-bag corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--spec-file", metavar="JSON", help="synth spec file")
-    for name, typ in _SYNTH_FLAG_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
-    p.add_argument("--data-seed", type=int, default=None)
+    _add_config_flags(p, SynthSpec)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one variant on a JSONL corpus")
@@ -460,8 +421,8 @@ def build_parser() -> _Parser:
                    help="text file of word vectors to overwrite matching rows "
                         "of the initial word table (ignored with --resume)")
     _add_corpus_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p, ModelConfig)
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on held-out JSONL")
@@ -489,8 +450,8 @@ def build_parser() -> _Parser:
     p.add_argument("--test-data", required=True)
     p.add_argument("--out-dir", required=True)
     _add_corpus_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p, ModelConfig)
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -316,6 +316,26 @@ def open_text(path: Path, what: str):
             raise DataError(f"{what} {path} is not UTF-8 text: {e}") from None
 
 
+# The field annotations (such as "int" or "float | None") that each JSON value
+# type fits: an int fits a float field, a bool fits only a bool field.
+_FITS = {type(None): {"None"}, bool: {"bool"}, int: {"int", "float"}, float: {"float"},
+         str: {"str"}}
+
+
+def check_json_fields(obj, types: dict[str, str], where: str) -> None:
+    """Check a JSON object read from a file: every key is one of ``types``,
+    which maps names to annotation strings, and every value fits its type."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must hold a JSON object")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys: {', '.join(unknown)}; "
+                              f"known keys: {', '.join(sorted(types))}")
+    for key, value in obj.items():
+        if _FITS.get(type(value), set()).isdisjoint(types[key].split(" | ")):
+            raise ValidationError(f"{where}: {key} must be {types[key]}, got {value!r}")
+
+
 def load_jsonl(
     path,
     relation_names: list[str] | None = None,

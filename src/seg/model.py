@@ -19,16 +19,22 @@ variant wires:
 
 Parameters live in a flat registry (name, tensor) in a fixed order; the
 optimizer, the L2 term, and the checkpoint format all walk that registry.
-Each tensor is initialized from its own stream derived from the model seed
-and its registry name, so two variants that share a tensor name and shape
-start from identical values under the same seed.
+Each tensor takes its values from one init source: an ``init(name, shape)``
+callback asked in registry order (a checkpoint load, the gradcheck point),
+or else its own stream derived from the model seed and its registry name,
+so two variants that share a tensor name and shape start from identical
+values under the same seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+import os
+import tempfile
+import zlib
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -46,7 +52,7 @@ from .aggregation import (
     mean_vectors,
     selective_attention_aggregate,
 )
-from .data import Bag, SentenceExample
+from .data import Bag, SentenceExample, check_json_fields
 from .embedding import (
     EmbeddingTables,
     EntityAwareGateParams,
@@ -119,27 +125,16 @@ class ModelConfig:
         return 3 * self.conv_channels
 
     @property
-    def uses_entity_mix(self) -> bool:
-        return self.wiring.entity_mix
-
-    @property
-    def uses_gate(self) -> bool:
-        return self.wiring.gate
-
-    @property
-    def uses_self_attn(self) -> bool:
-        return self.wiring.self_attn
-
-    @property
-    def uses_selective_attn(self) -> bool:
-        return self.wiring.selective_attn
-
-    @property
     def aggregate_dim(self) -> int:
         """Concat variants (self-attention without a gate) append u_j to s_j."""
-        if self.uses_self_attn and not self.uses_gate:
+        if self.wiring.self_attn and not self.wiring.gate:
             return self.feat_dim + self.encoder_input_dim
         return self.feat_dim
+
+
+_CONFIG_TYPES = {f.name: f.type for f in fields(ModelConfig)}
+_MANIFEST_KEYS = ("model_config", "vocab_size", "step", "registry", "crc32", "dataset")
+_MANIFEST_INTS = {"vocab_size": "int", "step": "int", "crc32": "int"}
 
 
 def validate_config(config: ModelConfig) -> None:
@@ -159,7 +154,7 @@ def validate_config(config: ModelConfig) -> None:
         raise ValidationError(f"dropout_p must lie in [0, 1), got {config.dropout_p}")
     if config.l2_coef < 0.0:
         raise ValidationError(f"l2_coef must be non-negative, got {config.l2_coef}")
-    if config.uses_entity_mix and config.embed_dim != 3 * config.word_dim:
+    if config.wiring.entity_mix and config.embed_dim != 3 * config.word_dim:
         raise ValidationError(
             "entity-aware variants need embed_dim == 3 * word_dim, got "
             f"embed_dim={config.embed_dim} with word_dim={config.word_dim}"
@@ -173,25 +168,29 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
 
 
 class SegParams:
-    """All learnable tensors for one variant, plus the flat registry."""
+    """All learnable tensors for one variant, plus the flat registry. Values
+    come from ``init(name, shape)`` when given; else weights are drawn from
+    their seeded streams and biases start at zero."""
 
-    def __init__(self, config: ModelConfig, vocab_size: int):
+    def __init__(self, config: ModelConfig, vocab_size: int, init=None):
         validate_config(config)
         if vocab_size < 2:
             raise ValidationError("vocab_size must cover at least the unk and pad ids")
         self.vocab_size = vocab_size
         self.registry: list[tuple[str, Tensor]] = []
 
-        def weight(name: str, shape) -> Tensor:
-            rng = _rng_for(config.seed, name)
-            t = Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
+        def weight(name: str, shape, drawn: bool = True) -> Tensor:
+            if init is not None:
+                values = init(name, shape)
+            else:
+                values = (_rng_for(config.seed, name).uniform(-0.1, 0.1, size=shape) if drawn
+                          else np.zeros(shape))
+            t = Tensor(values, requires_grad=True)
             self.registry.append((name, t))
             return t
 
         def bias(name: str, shape) -> Tensor:
-            t = Tensor(np.zeros(shape), requires_grad=True)
-            self.registry.append((name, t))
-            return t
+            return weight(name, shape, drawn=False)
 
         d_w, d_r = config.word_dim, config.pos_dim
         d_in = config.encoder_input_dim
@@ -204,7 +203,7 @@ class SegParams:
             pos_clip=config.pos_clip,
         )
         self.entity_gate = None
-        if config.uses_entity_mix:
+        if config.wiring.entity_mix:
             self.entity_gate = EntityAwareGateParams(
                 w_gate=weight("entity_gate.w_gate", (config.embed_dim, 3 * d_w)),
                 b_gate=bias("entity_gate.b_gate", (config.embed_dim,)),
@@ -217,7 +216,7 @@ class SegParams:
             bias=bias("pcnn.bias", (d_c,)),
         )
         self.self_attn = None
-        if config.uses_self_attn:
+        if config.wiring.self_attn:
             self.self_attn = SelfAttnParams(
                 w_hidden=weight("self_attn.w_hidden", (d_in, d_in)),
                 b_hidden=bias("self_attn.b_hidden", (d_in,)),
@@ -225,7 +224,7 @@ class SegParams:
                 b_score=bias("self_attn.b_score", (d_in,)),
             )
         self.gate = None
-        if config.uses_gate:
+        if config.wiring.gate:
             self.gate = SelectiveGateParams(
                 w_hidden=weight("gate.w_hidden", (d_in, d_in)),
                 b_hidden=bias("gate.b_hidden", (d_in,)),
@@ -233,7 +232,7 @@ class SegParams:
                 b_out=bias("gate.b_out", (feat,)),
             )
         self.selective_attn = None
-        if config.uses_selective_attn:
+        if config.wiring.selective_attn:
             self.selective_attn = SelectiveAttnParams(
                 queries=weight("selective_attn.queries", (config.num_relations, feat)),
                 bilinear=weight("selective_attn.bilinear", (feat, feat)),
@@ -268,7 +267,7 @@ def _sentence_vectors(bag: Bag, params: SegParams, config: ModelConfig):
     feats, summaries = [], []
     for sent in bag.sentences:
         x_pos = embed_positional(sent, params.tables)
-        if config.uses_entity_mix:
+        if config.wiring.entity_mix:
             x_ent = embed_entity_concat(sent, params.tables)
             x = entity_aware_embed(x_pos, x_ent, params.entity_gate)
         else:
@@ -278,7 +277,7 @@ def _sentence_vectors(bag: Bag, params: SegParams, config: ModelConfig):
         else:
             s = pcnn_encode(x, sent.head_pos, sent.tail_pos, params.pcnn)
         feats.append(s)
-        if config.uses_self_attn:
+        if config.wiring.self_attn:
             summaries.append(self_attn_encode(x, params.self_attn))
     return feats, summaries
 
@@ -287,15 +286,15 @@ def _aggregate(feats, summaries, gates, relation, params: SegParams,
                config: ModelConfig) -> Tensor:
     """The bag vector. Attention variants take a relation index, its target
     (see selective_attention_aggregate), or None for a (feat, R) matrix."""
-    if config.uses_selective_attn and config.uses_gate:
+    if config.wiring.selective_attn and config.wiring.gate:
         return gate_plus_attention_aggregate(
             feats, gates, relation, params.selective_attn, config.scalar_gate
         )
-    if config.uses_selective_attn:
+    if config.wiring.selective_attn:
         return selective_attention_aggregate(feats, relation, params.selective_attn)
-    if config.uses_gate:
+    if config.wiring.gate:
         return gate_aggregate(feats, gates, config.scalar_gate)
-    if config.uses_self_attn:
+    if config.wiring.self_attn:
         return concat_aggregate(feats, summaries)
     return mean_vectors(feats)
 
@@ -328,10 +327,10 @@ def forward_bag(bag: Bag, params: SegParams, config: ModelConfig) -> BagPredicti
     """
     with nm.no_grad():
         feats, summaries = _sentence_vectors(bag, params, config)
-        gates = gate_values(summaries, params.gate) if config.uses_gate else None
+        gates = gate_values(summaries, params.gate) if config.wiring.gate else None
         c = _aggregate(feats, summaries, gates, None, params, config)
         dist = nm.softmax_over_axis(_classify(c, params), 0).data
-    if not config.uses_selective_attn:
+    if not config.wiring.selective_attn:
         return BagPrediction(probs=dist, predicted=int(np.argmax(dist)), confidence=dist)
     confidence = np.diagonal(dist).copy()
     total = confidence.sum()
@@ -363,10 +362,10 @@ def loss(batch, params: SegParams, config: ModelConfig,
         raise DataError(f"bag label {bad[0]} out of range for {config.num_relations} relations")
     encoded = [_sentence_vectors(bag, params, config) for bag in batch]
     gates = targets = [None] * len(batch)
-    if config.uses_gate:
+    if config.wiring.gate:
         flat = iter(gate_values([u for _, us in encoded for u in us], params.gate))
         gates = [list(islice(flat, len(us))) for _, us in encoded]
-    if config.uses_selective_attn:
+    if config.wiring.selective_attn:
         attn = params.selective_attn
         targets = nm.split_cols(
             nm.matmul(attn.bilinear, nm.embedding_lookup(attn.queries, labels)))
@@ -382,7 +381,7 @@ def loss(batch, params: SegParams, config: ModelConfig,
 # Checkpoints: a JSON manifest next to a flat binary of the registry.
 # ---------------------------------------------------------------------------
 
-_CKPT_FORMAT = "seg-checkpoint-v1"
+_CKPT_FORMAT = "seg-checkpoint-v2"
 
 
 def _ckpt_paths(path) -> tuple[Path, Path]:
@@ -392,26 +391,55 @@ def _ckpt_paths(path) -> tuple[Path, Path]:
     return p.with_suffix(".json"), p.with_suffix(".bin")
 
 
+def _replace_durably(path: Path, write) -> None:
+    """Write a file through ``write(fh)`` into a temporary file beside
+    ``path``, make it durable, then rename it over ``path``: a crash leaves
+    either the old file or the new one, never a torn one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def save_checkpoint(path, params: SegParams, config: ModelConfig,
                     dataset_meta: dict, step: int) -> Path:
-    """Write manifest + binary. The binary stores each registry tensor in
-    registry order as an int64 rank, int64 dims, then raw float64 data."""
+    """Write binary + manifest. The binary is each registry tensor's raw
+    float64 data in registry order; the manifest holds the shapes and the
+    binary's crc32. The manifest is written last, so it commits the pair."""
     man_path, bin_path = _ckpt_paths(path)
+    tensors = [np.ascontiguousarray(t.data, dtype=np.float64) for _, t in params.registry]
+    crc = 0
+    for data in tensors:
+        crc = zlib.crc32(data, crc)
     manifest = {
         "format": _CKPT_FORMAT,
         "model_config": asdict(config),
         "vocab_size": params.vocab_size,
         "step": int(step),
         "registry": [{"name": n, "shape": list(t.shape)} for n, t in params.registry],
+        "crc32": crc,
         "dataset": dataset_meta,
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+    def write_tensors(fh) -> None:
+        for data in tensors:
+            data.tofile(fh)
+
     man_path.parent.mkdir(parents=True, exist_ok=True)
-    man_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    with bin_path.open("wb") as fh:
-        for _, t in params.registry:
-            np.asarray([t.data.ndim], dtype=np.int64).tofile(fh)
-            np.asarray(t.shape, dtype=np.int64).tofile(fh)
-            np.ascontiguousarray(t.data, dtype=np.float64).tofile(fh)
+    _replace_durably(bin_path, write_tensors)
+    _replace_durably(man_path, lambda fh: fh.write(text.encode()))
     return man_path
 
 
@@ -426,36 +454,47 @@ def load_checkpoint(path) -> tuple[SegParams, ModelConfig, dict]:
         raise ValidationError(f"checkpoint manifest {man_path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
         raise ValidationError(f"unrecognized checkpoint format in {man_path}")
+    where = f"checkpoint manifest {man_path}"
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise ValidationError(f"{where} lacks key(s) {', '.join(missing)}")
+    check_json_fields(manifest["model_config"], _CONFIG_TYPES, f"{where} model_config")
+    check_json_fields({k: manifest[k] for k in _MANIFEST_INTS}, _MANIFEST_INTS, where)
+    config = ModelConfig(**manifest["model_config"])
     try:
-        config = ModelConfig(**manifest["model_config"])
-        vocab_size, recorded, _ = manifest["vocab_size"], manifest["registry"], manifest["dataset"]
-        recorded_names = [r["name"] for r in recorded]
-        recorded_shapes = [tuple(r["shape"]) for r in recorded]
-    except KeyError as e:
-        raise ValidationError(f"checkpoint manifest {man_path} lacks key {e}") from None
-    except TypeError as e:
-        raise ValidationError(f"checkpoint manifest {man_path} has a bad entry: {e}") from None
-    params = SegParams(config, vocab_size)
-    if [n for n, _ in params.registry] != recorded_names:
-        raise ValidationError("checkpoint registry does not match the configured variant")
+        layout = [(r["name"], tuple(map(int, r["shape"]))) for r in manifest["registry"]]
+        need = 8 * sum(math.prod(shape) for _, shape in layout)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"{where} has a bad registry entry: {e!r}") from None
+    size = bin_path.stat().st_size
+    if size != need:
+        problem = "is truncated" if size < need else "has trailing bytes"
+        raise ValidationError(f"checkpoint binary {bin_path} {problem}: {size} bytes, "
+                              f"the manifest's shapes need {need}")
+    # One read per tensor, not one for the whole file: a single allocation
+    # the size of the binary cannot reuse freed heap memory, and raised peak
+    # RSS by ~40 MB at an 80k-word vocabulary.
+    recorded, crc = iter(layout), 0
     with bin_path.open("rb") as fh:
-        for (name, t), rec_shape in zip(params.registry, recorded_shapes):
-            head = np.fromfile(fh, dtype=np.int64, count=1 + t.ndim)  # rank, then dims
-            if head.size != 1 + t.ndim:
-                raise ValidationError(f"checkpoint binary {bin_path} truncated at tensor {name}")
-            shape = tuple(int(d) for d in head[1:])
-            if head[0] != t.ndim or shape != t.shape or shape != rec_shape:
-                raise ValidationError(
-                    f"checkpoint tensor {name} has rank {int(head[0])} and shape {shape}, "
-                    f"expected {t.shape}"
-                )
-            data = np.fromfile(fh, dtype=np.float64, count=t.size)
-            if data.size != t.size:
-                raise ValidationError(f"checkpoint binary {bin_path} truncated at tensor {name}")
-            t.data = data.reshape(shape)
-        trailing = fh.read(1)
-        if trailing:
-            raise ValidationError(f"checkpoint binary {bin_path} has trailing bytes")
+
+        def stored(name: str, shape) -> np.ndarray:
+            nonlocal crc
+            rec_name, rec_shape = next(recorded, (None, None))
+            if rec_name != name:
+                raise ValidationError("checkpoint registry does not match the configured variant")
+            if rec_shape != shape:
+                raise ValidationError(f"checkpoint tensor {name} has shape {rec_shape}, "
+                                      f"expected {shape}")
+            values = np.fromfile(fh, dtype=np.float64, count=math.prod(shape))
+            crc = zlib.crc32(values, crc)
+            return values.reshape(shape)
+
+        params = SegParams(config, manifest["vocab_size"], init=stored)
+    if next(recorded, None) is not None:
+        raise ValidationError("checkpoint registry does not match the configured variant")
+    if crc != manifest["crc32"]:
+        raise ValidationError(f"checkpoint binary {bin_path} does not belong to {man_path}: "
+                              "its crc32 differs from the manifest's")
     return params, config, manifest
 
 
@@ -508,20 +547,16 @@ def run_gradcheck(variant: str, eps: float = 1e-5, tol: float = 1e-4,
                   seed: int = 2) -> nm.GradCheckReport:
     """Finite-difference check of the full training objective for a variant.
 
-    Dropout must be off: the objective must be a deterministic function of
-    the parameters for finite differences to mean anything. Every tensor,
-    biases included, is re-drawn at a generic point: the training init puts
-    biases at exactly zero, which parks relu preactivations inside the
-    finite-difference window and invalidates the comparison there.
+    TINY_CONFIG keeps dropout off: the objective must be a deterministic
+    function of the parameters for finite differences to mean anything.
+    Every tensor, biases included, is drawn at a generic point: the training
+    init puts biases at exactly zero, which parks relu preactivations inside
+    the finite-difference window and invalidates the comparison there.
     """
     config = replace(TINY_CONFIG, variant=variant, seed=seed)
-    if config.dropout_p != 0.0:
-        raise ValidationError("gradient checking requires dropout_p == 0")
     bags = tiny_bags(config.num_relations, _TINY_VOCAB, seed=seed)
-    params = SegParams(config, _TINY_VOCAB)
-    for name, t in params.registry:
-        rng = _rng_for(seed, "gradcheck." + name)
-        t.data[...] = rng.uniform(-0.5, 0.5, size=t.shape)
+    params = SegParams(config, _TINY_VOCAB, init=lambda name, shape: _rng_for(
+        seed, "gradcheck." + name).uniform(-0.5, 0.5, size=shape))
 
     def objective():
         return loss(bags, params, config, train_mode=False)

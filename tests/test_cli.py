@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, manifests, reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -62,6 +63,89 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "seg" in capsys.readouterr().out
+
+
+# Every config flag set to a value other than its default.
+EVERY_MODEL_FLAG = [
+    "--word-dim", "4", "--pos-dim", "3", "--conv-channels", "5", "--embed-dim", "12",
+    "--kernel-width", "5", "--pos-clip", "9", "--gate-smoothing", "0.5", "--l2-coef", "0.25",
+    "--dropout-p", "0.125", "--cls-hidden", "7", "--variant", "seg_attn", "--scalar-gate",
+    "--model-seed", "11",
+]
+EVERY_TRAIN_FLAG = [
+    "--lr0", "0.5", "--decay-every", "6", "--decay-factor", "0.75", "--max-steps", "8",
+    "--batch-size", "9", "--eval-every", "2", "--clip-norm", "1.5", "--data-seed", "13",
+]
+EVERY_SYNTH_FLAG = [
+    "--num-relations", "6", "--num-entities", "70", "--vocab-size", "300", "--num-bags", "20",
+    "--one-sentence-fraction", "0.5", "--noise-rate", "0.25", "--max-len", "30",
+    "--data-seed", "17",
+]
+MODEL_OPTIONS = [
+    "--cls-hidden", "--conv-channels", "--dropout-p", "--embed-dim", "--gate-smoothing",
+    "--kernel-width", "--l2-coef", "--model-config", "--model-seed", "--pos-clip", "--pos-dim",
+    "--scalar-gate", "--variant", "--word-dim",
+]
+TRAIN_OPTIONS = [
+    "--batch-size", "--clip-norm", "--data-seed", "--decay-every", "--decay-factor",
+    "--eval-every", "--lr0", "--max-steps", "--train-config",
+]
+OPTIONS = {
+    "synth": ["--data-seed", "--help", "--max-len", "--noise-rate", "--num-bags",
+              "--num-entities", "--num-relations", "--one-sentence-fraction", "--out-dir",
+              "--spec-file", "--vocab-size", "-h"],
+    "train": sorted(MODEL_OPTIONS + TRAIN_OPTIONS + [
+        "--bag-cap", "--eval-data", "--help", "--max-len", "--out-dir",
+        "--pretrained-embeddings", "--resume", "--train-data", "-h"]),
+    "ablate": sorted(MODEL_OPTIONS + TRAIN_OPTIONS + [
+        "--bag-cap", "--help", "--max-len", "--out-dir", "--test-data", "--train-data", "-h"]),
+}
+RESOLVED_MODEL = {
+    "word_dim": 4, "pos_dim": 3, "conv_channels": 5, "embed_dim": 12, "kernel_width": 5,
+    "pos_clip": 9, "num_relations": 4, "gate_smoothing": 0.5, "l2_coef": 0.25,
+    "dropout_p": 0.125, "cls_hidden": 7, "variant": "seg_attn", "scalar_gate": True, "seed": 11,
+}
+RESOLVED_TRAIN = {
+    "lr0": 0.5, "decay_every": 6, "decay_factor": 0.75, "max_steps": 8, "batch_size": 9,
+    "eval_every": 2, "seed": 13, "clip_norm": 1.5,
+}
+RESOLVED_SYNTH = {
+    "num_relations": 6, "num_entities": 70, "vocab_size": 300, "num_bags": 20,
+    "one_sentence_fraction": 0.5, "noise_rate": 0.25, "max_len": 30, "seed": 17,
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_accepts_its_pinned_flags(command):
+    sub = next(a for a in seg.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = sorted(s for a in sub.choices[command]._actions for s in a.option_strings)
+    assert options == OPTIONS[command]
+
+
+def test_every_config_flag_lands_in_the_resolved_config(tmp_path, monkeypatch):
+    corpus = synth(tmp_path)
+
+    def stop(*args, **kwargs):
+        raise RuntimeError("stopped once the run manifest is written")
+
+    monkeypatch.setattr(seg.cli, "train", stop)
+    monkeypatch.setattr(seg.cli, "generate_synthetic_with_manifest", stop)
+    data = ["--train-data", str(corpus / "train.jsonl")]
+    runs = {
+        "train": ["train", *data, "--out-dir", str(tmp_path / "train")],
+        "ablate": ["ablate", *data, "--test-data", str(corpus / "test.jsonl"),
+                   "--out-dir", str(tmp_path / "ablate")],
+    }
+    for command, argv in runs.items():
+        assert main(argv + EVERY_MODEL_FLAG + EVERY_TRAIN_FLAG) == 2
+        resolved = json.loads((tmp_path / command / "run_manifest.json").read_text())["resolved"]
+        assert resolved["model_config"] == RESOLVED_MODEL
+        checkpoints = str(tmp_path / "train" / "checkpoints") if command == "train" else None
+        assert resolved["train_config"] == {**RESOLVED_TRAIN, "checkpoint_dir": checkpoints}
+    assert main(["synth", "--out-dir", str(tmp_path / "synth")] + EVERY_SYNTH_FLAG) == 2
+    resolved = json.loads((tmp_path / "synth" / "run_manifest.json").read_text())["resolved"]
+    assert resolved["synth_spec"] == RESOLVED_SYNTH
 
 
 def test_run_manifest_git_describe_ignores_cwd(tmp_path, monkeypatch):
@@ -407,17 +491,32 @@ def _bad_input(tmp_path, case):
         return ["train", "--train-data", str(data), "--out-dir", str(tmp_path / "bad_run"),
                 "--max-steps", "1"] + TINY_MODEL + list(extra)
 
-    if case in ("empty_bin", "bin_cut_at_tensor", "manifest_not_utf8"):
+    if case in ("empty_bin", "bin_cut_at_tensor", "bin_from_another_save", "manifest_not_utf8",
+                "manifest_v1") or case.startswith("manifest_wrong_type"):
         run = quick_train(tmp_path, corpus)
         man, binary = run / "ckpt_final.json", run / "ckpt_final.bin"
+        manifest = json.loads(man.read_text())
+        named = binary
         if case == "manifest_not_utf8":
             man.write_bytes(b"\xff" + man.read_bytes())
             named = man
+        elif case == "manifest_v1":
+            man.write_text(json.dumps({**manifest, "format": "seg-checkpoint-v1"}))
+            named = man
+        elif case.startswith("manifest_wrong_type"):
+            named = case.rsplit(".", 1)[1]
+            fields = manifest["model_config"] if named == "word_dim" else manifest
+            fields[named] = "x"
+            man.write_text(json.dumps(manifest))
+            if named == "step":
+                return train("--resume", str(man), "--max-steps", "9"), named
+        elif case == "bin_from_another_save":
+            other = quick_train(tmp_path, corpus, "other", extra=["--model-seed", "8"])
+            binary.write_bytes((other / "ckpt_final.bin").read_bytes())
         else:
-            shape = json.loads(man.read_text())["registry"][0]["shape"]
-            cut = 0 if case == "empty_bin" else 8 * (1 + len(shape) + math.prod(shape))
+            shape = manifest["registry"][0]["shape"]
+            cut = 0 if case == "empty_bin" else 8 * math.prod(shape)
             binary.write_bytes(binary.read_bytes()[:cut])
-            named = binary
         return ["eval", "--checkpoint", str(man), "--test-data", str(corpus / "test.jsonl"),
                 "--out-dir", str(tmp_path / "out")], str(named)
     if case == "corpus_not_utf8":
@@ -439,7 +538,9 @@ def _bad_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [
-    "empty_bin", "bin_cut_at_tensor", "manifest_not_utf8", "corpus_not_utf8",
+    "empty_bin", "bin_cut_at_tensor", "bin_from_another_save", "manifest_not_utf8",
+    "manifest_v1", "manifest_wrong_type.word_dim", "manifest_wrong_type.vocab_size",
+    "manifest_wrong_type.step", "corpus_not_utf8",
     "pretrained_not_utf8", "model_config_not_utf8", "model_config_wrong_type",
     "train_config_wrong_type", "synth_spec_wrong_type"])
 def test_bad_input_exits_one_naming_it(tmp_path, capsys, case):

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import seg.model
 import seg.numerics as nm
 from seg.aggregation import gate_values, selective_attention_aggregate
 from seg.data import Bag, Dataset, SentenceExample
@@ -26,6 +28,7 @@ from seg.model import (
     l2_penalty,
     load_checkpoint,
     loss,
+    run_gradcheck,
     save_checkpoint,
     tiny_bags,
     validate_config,
@@ -115,10 +118,10 @@ def test_variant_switch_table():
     }
     for variant, flags in on.items():
         c = tiny(variant=variant)
-        assert c.uses_entity_mix == ("mix" in flags), variant
-        assert c.uses_gate == ("gate" in flags), variant
-        assert c.uses_self_attn == ("self" in flags), variant
-        assert c.uses_selective_attn == ("sel" in flags), variant
+        assert c.wiring.entity_mix == ("mix" in flags), variant
+        assert c.wiring.gate == ("gate" in flags), variant
+        assert c.wiring.self_attn == ("self" in flags), variant
+        assert c.wiring.selective_attn == ("sel" in flags), variant
 
 
 # -- parameter init -----------------------------------------------------------
@@ -310,7 +313,7 @@ def per_bag_loss(batch, params, config, rng):
     for bag in batch:
         feats, summaries = _sentence_vectors(bag, params, config)
         gates = None
-        if config.uses_gate:
+        if config.wiring.gate:
             gates = [gate_values([u], params.gate)[0] for u in summaries]
         c = _aggregate(feats, summaries, gates, bag.label, params, config)
         if rng is not None:
@@ -507,3 +510,63 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     bin_path.write_bytes(bin_path.read_bytes() + b"\x00")
     with pytest.raises(ValidationError, match="trailing"):
         load_checkpoint(man_path)
+
+
+def test_checkpoint_rejects_a_shape_edit_of_equal_size(tmp_path):
+    _, _, _, man_path = checkpointed(tmp_path)
+    manifest = json.loads(man_path.read_text())
+    manifest["registry"][0]["shape"] = manifest["registry"][0]["shape"][::-1]
+    man_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="embed.word has shape"):
+        load_checkpoint(man_path)
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    _, params, _, man_path = checkpointed(tmp_path)
+
+    def no_draws(seed, name):
+        raise AssertionError(f"load_checkpoint drew {name}")
+
+    monkeypatch.setattr(seg.model, "_rng_for", no_draws)
+    loaded, _, _ = load_checkpoint(man_path)
+    for (name, t), (_, lt) in zip(params.registry, loaded.registry):
+        assert np.array_equal(t.data, lt.data), name
+        assert lt.data.flags.writeable, name
+
+
+def test_failed_save_keeps_the_previous_pair(tmp_path, monkeypatch):
+    config, params, meta, man_path = checkpointed(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    saved = {name: t.data.copy() for name, t in params.registry}
+    for _, t in params.registry:
+        t.data += 1.0
+
+    def failing_fsync(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk gone"):
+        save_checkpoint(tmp_path / "ckpt", params, config, meta, step=43)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded, _, manifest = load_checkpoint(man_path)
+    assert manifest["step"] == 42
+    for name, t in loaded.registry:
+        assert np.array_equal(saved[name], t.data), name
+
+
+@pytest.mark.parametrize("variant", ["seg", "seg_wo_all"])
+def test_gradcheck_point_is_the_gradcheck_draws(monkeypatch, variant):
+    seen = {}
+
+    def capture(objective, registry, eps, tol):
+        seen.update((name, t.data.copy()) for name, t in registry)
+        return nm.GradCheckReport(entries=[], tol=tol)
+
+    monkeypatch.setattr(nm, "grad_check", capture)
+    run_gradcheck(variant, seed=2)
+    names = [n for n, _ in SegParams(tiny(variant, seed=2), VOCAB).registry]
+    assert list(seen) == names
+    for name, data in seen.items():
+        want = _rng_for(2, "gradcheck." + name).uniform(-0.5, 0.5, size=data.shape)
+        assert np.array_equal(data, want), name
