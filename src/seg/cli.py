@@ -226,6 +226,12 @@ def cmd_train(args) -> int:
     resume_params = None
     if args.resume:
         resume_params, model_config, manifest = load_checkpoint(args.resume)
+        model_flags = [f"--{dest.replace('_', '-')}"
+                       for dest in ("model_config", *_flag_fields(ModelConfig))
+                       if getattr(args, dest) is not None]
+        if model_flags:
+            raise ValidationError("--resume continues the checkpoint's model; drop "
+                                  + ", ".join(model_flags))
         start_step = manifest["step"]
         train_ds = _load_with_checkpoint_vocab(args.train_data, manifest, "training", args)
     else:

@@ -1,23 +1,26 @@
 """Token embeddings and the entity-aware gated combination.
 
-Sentences are embedded column-wise: a (d, n) matrix holds one column per
-token position. Two views exist for every sentence. The positional view
-stacks the word vector with two relative-position vectors (offsets to the
-head and tail mentions, bucketed and clipped). The entity view stacks the
-word vector with the head and tail surface word vectors, repeated at every
-position. A learned sigmoid gate mixes the entity view with a projected
-positional view, which lets entity identity modulate every position.
+Sentences are embedded column-wise, and a batch is packed: its sentences'
+token columns sit side by side in one (d, N) matrix, N being the batch's
+token count, so each view is one lookup per batch. Two views exist for every
+sentence. The positional view stacks the word vector with two
+relative-position vectors (offsets to the head and tail mentions, bucketed
+and clipped). The entity view stacks the word vector with the head and tail
+surface word vectors, repeated at every position. A learned sigmoid gate
+mixes the entity view with a projected positional view, which lets entity
+identity modulate every position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .data import SentenceExample, open_text
+from .data import Bag, open_text
 from .errors import DataError, ShapeError
 from .numerics import Tensor
 
@@ -29,6 +32,30 @@ class EmbeddingTables:
     word: Tensor
     position: Tensor
     pos_clip: int
+
+
+@dataclass
+class SentencePack:
+    """Index arrays of a batch of bags whose sentences are packed as runs of
+    columns, in bag order and sentence order within each bag."""
+
+    tokens: np.ndarray     # (N,) word id of every column
+    lengths: np.ndarray    # (S,) columns per sentence
+    starts: np.ndarray     # (S,) first column of each sentence
+    entities: np.ndarray   # (S, 2) head and tail position within each sentence
+    bag_sizes: np.ndarray  # (B,) sentences per bag
+
+
+def pack_bags(bags: Sequence[Bag]) -> SentencePack:
+    sents = [s for bag in bags for s in bag.sentences]
+    lengths = np.array([len(s.tokens) for s in sents], dtype=np.intp)
+    return SentencePack(
+        tokens=np.array([t for s in sents for t in s.tokens], dtype=np.intp),
+        lengths=lengths,
+        starts=np.cumsum(lengths) - lengths,
+        entities=np.array([(s.head_pos, s.tail_pos) for s in sents], dtype=np.intp),
+        bag_sizes=np.array([len(bag.sentences) for bag in bags], dtype=np.intp),
+    )
 
 
 @dataclass
@@ -47,18 +74,14 @@ class EntityAwareGateParams:
     gate_smoothing: float
 
 
-def relative_offset_bucket(i: int, e: int, pos_clip: int) -> int:
-    """Bucket index for the offset of position i from entity position e.
+def relative_offset_bucket(i, e, pos_clip: int):
+    """Bucket index for the offset of position i from entity position e,
+    elementwise over arrays.
 
     Offsets are clipped to [-pos_clip, pos_clip] and shifted to be
     non-negative, so bucket pos_clip means distance zero.
     """
-    off = i - e
-    if off < -pos_clip:
-        off = -pos_clip
-    elif off > pos_clip:
-        off = pos_clip
-    return off + pos_clip
+    return np.clip(np.subtract(i, e), -pos_clip, pos_clip) + pos_clip
 
 
 def load_pretrained_words(
@@ -97,25 +120,20 @@ def load_pretrained_words(
     return out, found
 
 
-def embed_positional(sent: SentenceExample, tables: EmbeddingTables) -> Tensor:
-    """Positional view: (word_dim + 2*pos_dim, n)."""
-    n = len(sent.tokens)
-    k = tables.pos_clip
-    word_cols = nm.embedding_lookup(tables.word, sent.tokens)
-    head_buckets = [relative_offset_bucket(i, sent.head_pos, k) for i in range(n)]
-    tail_buckets = [relative_offset_bucket(i, sent.tail_pos, k) for i in range(n)]
-    head_cols = nm.embedding_lookup(tables.position, head_buckets)
-    tail_cols = nm.embedding_lookup(tables.position, tail_buckets)
-    return nm.concat([word_cols, head_cols, tail_cols], axis=0)
+def embed_positional(pack: SentencePack, tables: EmbeddingTables) -> Tensor:
+    """Positional view: (word_dim + 2*pos_dim, N)."""
+    word_cols = nm.embedding_lookup(tables.word, pack.tokens)
+    pos = np.arange(pack.tokens.size) - np.repeat(pack.starts, pack.lengths)
+    buckets = relative_offset_bucket(pos[:, None], np.repeat(pack.entities, pack.lengths, axis=0),
+                                     tables.pos_clip)
+    return nm.concat([word_cols, nm.embedding_lookup(tables.position, buckets)], axis=0)
 
 
-def embed_entity_concat(sent: SentenceExample, tables: EmbeddingTables) -> Tensor:
-    """Entity view: (3*word_dim, n), with both entity surface vectors tiled."""
-    n = len(sent.tokens)
-    word_cols = nm.embedding_lookup(tables.word, sent.tokens)
-    head_cols = nm.embedding_lookup(tables.word, [sent.tokens[sent.head_pos]] * n)
-    tail_cols = nm.embedding_lookup(tables.word, [sent.tokens[sent.tail_pos]] * n)
-    return nm.concat([word_cols, head_cols, tail_cols], axis=0)
+def embed_entity_concat(pack: SentencePack, tables: EmbeddingTables) -> Tensor:
+    """Entity view: (3*word_dim, N), with both entity surface vectors tiled."""
+    surfaces = pack.tokens[pack.starts[:, None] + pack.entities]
+    ids = np.column_stack([pack.tokens, np.repeat(surfaces, pack.lengths, axis=0)])
+    return nm.embedding_lookup(tables.word, ids)
 
 
 def entity_aware_embed(x_pos: Tensor, x_ent: Tensor, params: EntityAwareGateParams) -> Tensor:

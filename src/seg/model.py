@@ -35,7 +35,6 @@ import os
 import tempfile
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,9 +55,11 @@ from .data import Bag, SentenceExample, check_json_fields
 from .embedding import (
     EmbeddingTables,
     EntityAwareGateParams,
+    SentencePack,
     embed_entity_concat,
     embed_positional,
     entity_aware_embed,
+    pack_bags,
 )
 from .encoders import PcnnParams, SelfAttnParams, pcnn_encode, self_attn_encode, stacked_encode
 from .errors import DataError, ValidationError
@@ -262,80 +263,92 @@ class BagPrediction:
     confidence: np.ndarray
 
 
-def _sentence_vectors(bag: Bag, params: SegParams, config: ModelConfig):
-    """Encode every sentence: feature vectors S and attention summaries U."""
-    feats, summaries = [], []
-    for sent in bag.sentences:
-        x_pos = embed_positional(sent, params.tables)
-        if config.wiring.entity_mix:
-            x_ent = embed_entity_concat(sent, params.tables)
-            x = entity_aware_embed(x_pos, x_ent, params.entity_gate)
-        else:
-            x = x_pos
-        if config.wiring.stacked:
-            s = stacked_encode(x, sent.head_pos, sent.tail_pos, params.pcnn, params.self_attn)
-        else:
-            s = pcnn_encode(x, sent.head_pos, sent.tail_pos, params.pcnn)
-        feats.append(s)
-        if config.wiring.self_attn:
-            summaries.append(self_attn_encode(x, params.self_attn))
-    return feats, summaries
-
-
-def _aggregate(feats, summaries, gates, relation, params: SegParams,
-               config: ModelConfig) -> Tensor:
-    """The bag vector. Attention variants take a relation index, its target
-    (see selective_attention_aggregate), or None for a (feat, R) matrix."""
-    if config.wiring.selective_attn and config.wiring.gate:
-        return gate_plus_attention_aggregate(
-            feats, gates, relation, params.selective_attn, config.scalar_gate
-        )
-    if config.wiring.selective_attn:
-        return selective_attention_aggregate(feats, relation, params.selective_attn)
-    if config.wiring.gate:
-        return gate_aggregate(feats, gates, config.scalar_gate)
+def _encode(pack: SentencePack, params: SegParams, config: ModelConfig):
+    """Encode a packed batch: sentence features (feat, S) and, for
+    self-attention variants, attention summaries (d_in, S), else None."""
+    x = embed_positional(pack, params.tables)
+    if config.wiring.entity_mix:
+        x = entity_aware_embed(x, embed_entity_concat(pack, params.tables), params.entity_gate)
+    if config.wiring.stacked:
+        return stacked_encode(x, pack.entities, pack.lengths, params.pcnn, params.self_attn)
+    feats = pcnn_encode(x, pack.entities, pack.lengths, params.pcnn)
     if config.wiring.self_attn:
-        return concat_aggregate(feats, summaries)
-    return mean_vectors(feats)
+        return feats, self_attn_encode(x, params.self_attn, pack.lengths)
+    return feats, None
 
 
-def _bag_columns(aggs, config: ModelConfig, train_mode: bool, rng) -> Tensor:
-    """Bag vectors as the columns of one (agg, B) matrix, dropped out in train
-    mode with a mask drawn over (B, agg) rows: the per-bag draws in bag order."""
-    rows = nm.concat([nm.reshape(c, (1, c.size)) for c in aggs], axis=0)
-    if train_mode and config.dropout_p > 0.0:
-        if rng is None:
-            raise ValidationError("training forward with dropout needs a random generator")
-        rows = nm.dropout(rows, config.dropout_p, rng)
-    return nm.transpose(rows)
+def _aggregate(feats, summaries, pack: SentencePack, relation, params: SegParams,
+               config: ModelConfig) -> Tensor:
+    """The (agg, B) matrix of bag vectors. Attention variants attend bag b
+    with relation[b], or with every relation when ``relation`` is None (see
+    selective_attention_aggregate)."""
+    wiring, sizes = config.wiring, pack.bag_sizes
+    gates = gate_values(summaries, params.gate) if wiring.gate else None
+    if wiring.selective_attn and wiring.gate:
+        return gate_plus_attention_aggregate(feats, gates, relation, params.selective_attn,
+                                             sizes, config.scalar_gate)
+    if wiring.selective_attn:
+        return selective_attention_aggregate(feats, relation, params.selective_attn, sizes)
+    if wiring.gate:
+        return gate_aggregate(feats, gates, config.scalar_gate, sizes)
+    if wiring.self_attn:
+        return concat_aggregate(feats, summaries, sizes)
+    return mean_vectors(feats, sizes)
 
 
 def _classify(c: Tensor, params: SegParams) -> Tensor:
-    """Relation logits for a bag vector, or per column of a matrix of them."""
+    """Relation logits per column of a matrix of bag vectors."""
     hidden = nm.relu(nm.add(nm.matmul(params.cls_w_hidden, c), params.cls_b_hidden))
     return nm.add(nm.matmul(params.cls_w_out, hidden), params.cls_b_out)
 
 
-def forward_bag(bag: Bag, params: SegParams, config: ModelConfig) -> BagPrediction:
-    """Predict one bag in eval mode. Never records gradients.
+# Token columns per eval chunk: at the paper's dimensions a chunk's largest
+# buffers stay within a few MB.
+_EVAL_COLUMNS = 1024
 
-    The gate network runs once over the bag. The selective-attention
-    variants let all relations attend in one pass: the aggregate has one
-    column per relation query, one classifier pass scores every column, and
+
+def _predict_chunk(bags, params: SegParams, config: ModelConfig) -> list[BagPrediction]:
+    pack = pack_bags(bags)
+    with nm.no_grad():
+        feats, summaries = _encode(pack, params, config)
+        c = _aggregate(feats, summaries, pack, None, params, config)
+        if not config.wiring.selective_attn:
+            dist = nm.softmax_over_axis(_classify(c, params), 0).data
+            return [BagPrediction(probs=p, predicted=int(np.argmax(p)), confidence=p)
+                    for p in dist.T.copy()]
+        preds = []
+        for per_relation in c:
+            dist = nm.softmax_over_axis(_classify(per_relation, params), 0).data
+            confidence = np.diagonal(dist).copy()
+            total = confidence.sum()
+            probs = (confidence / total if total > 0
+                     else np.full_like(confidence, 1.0 / confidence.size))
+            preds.append(BagPrediction(probs=probs, predicted=int(np.argmax(probs)),
+                                       confidence=confidence))
+    return preds
+
+
+def forward_bags(bags, params: SegParams, config: ModelConfig) -> list[BagPrediction]:
+    """Predict bags in eval mode, in order. Never records gradients.
+
+    Bags are forwarded in packed chunks of about _EVAL_COLUMNS token
+    columns: one pass per chunk through the encoders, the gate network, the
+    aggregation and the classifier. The selective-attention variants let
+    all relations attend in one pass per bag: the aggregate has one column
+    per relation query, one classifier pass scores every column, and
     confidence[r] is column r's probability of r. probs is their
     normalization so it remains a distribution.
     """
-    with nm.no_grad():
-        feats, summaries = _sentence_vectors(bag, params, config)
-        gates = gate_values(summaries, params.gate) if config.wiring.gate else None
-        c = _aggregate(feats, summaries, gates, None, params, config)
-        dist = nm.softmax_over_axis(_classify(c, params), 0).data
-    if not config.wiring.selective_attn:
-        return BagPrediction(probs=dist, predicted=int(np.argmax(dist)), confidence=dist)
-    confidence = np.diagonal(dist).copy()
-    total = confidence.sum()
-    probs = confidence / total if total > 0 else np.full_like(confidence, 1.0 / confidence.size)
-    return BagPrediction(probs=probs, predicted=int(np.argmax(probs)), confidence=confidence)
+    chunk_of = np.cumsum([sum(len(s.tokens) for s in bag.sentences) for bag in bags],
+                         dtype=np.intp) // _EVAL_COLUMNS
+    starts = [*np.flatnonzero(np.diff(chunk_of, prepend=-1)), len(bags)]
+    return [pred for lo, hi in zip(starts, starts[1:])
+            for pred in _predict_chunk(bags[lo:hi], params, config)]
+
+
+def forward_bag(bag: Bag, params: SegParams, config: ModelConfig) -> BagPrediction:
+    """Predict one bag in eval mode: a chunk of one bag."""
+    return _predict_chunk([bag], params, config)[0]
 
 
 def l2_penalty(params: SegParams) -> Tensor:
@@ -346,10 +359,13 @@ def loss(batch, params: SegParams, config: ModelConfig,
          train_mode: bool = True, rng=None) -> Tensor:
     """Mean negative log-likelihood of gold labels plus the L2 penalty.
 
-    Sentences are encoded one by one; the bag head then runs once per batch:
-    one gate-network pass over all sentences, one product bilinear @
-    Q[labels]^T whose column b is bag b's attention target, one classifier
-    pass over the (agg, B) bag matrix, and one NLL record. The gold
+    The batch is packed: all its sentences' token columns form one matrix,
+    so each layer is one tape record per batch, whatever the bag sizes.
+    Embedding lookups, the entity mix, the convolution, the piecewise pool
+    and self-attention run over all sentences at once; the gate network,
+    the bag aggregation (attending bag b with its gold relation), dropout,
+    the classifier and the NLL run over all bags at once. The dropout mask
+    takes the draws of each bag vector dropped out in bag order. The gold
     probability is floored at 1e-12 so the loss stays finite for any finite
     parameters. The L2 term covers every registry tensor and is not scaled
     by the batch size.
@@ -360,18 +376,14 @@ def loss(batch, params: SegParams, config: ModelConfig,
     bad = [y for y in labels if not 0 <= y < config.num_relations]
     if bad:
         raise DataError(f"bag label {bad[0]} out of range for {config.num_relations} relations")
-    encoded = [_sentence_vectors(bag, params, config) for bag in batch]
-    gates = targets = [None] * len(batch)
-    if config.wiring.gate:
-        flat = iter(gate_values([u for _, us in encoded for u in us], params.gate))
-        gates = [list(islice(flat, len(us))) for _, us in encoded]
-    if config.wiring.selective_attn:
-        attn = params.selective_attn
-        targets = nm.split_cols(
-            nm.matmul(attn.bilinear, nm.embedding_lookup(attn.queries, labels)))
-    aggs = [_aggregate(feats, us, g, t, params, config)
-            for (feats, us), g, t in zip(encoded, gates, targets)]
-    out = nm.nll_columns(_classify(_bag_columns(aggs, config, train_mode, rng), params), labels)
+    pack = pack_bags(batch)
+    feats, summaries = _encode(pack, params, config)
+    c = _aggregate(feats, summaries, pack, labels, params, config)
+    if train_mode and config.dropout_p > 0.0:
+        if rng is None:
+            raise ValidationError("training forward with dropout needs a random generator")
+        c = nm.dropout(c, config.dropout_p, rng)
+    out = nm.nll_columns(_classify(c, params), labels)
     if config.l2_coef > 0.0:
         out = nm.add(out, nm.scale(l2_penalty(params), config.l2_coef))
     return out

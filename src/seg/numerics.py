@@ -7,10 +7,13 @@ gradients are obtained by replaying the tape in reverse execution order
 so two identical forward+backward passes produce bit-identical gradients.
 
 The primitive set is exactly what the relation-extraction model needs:
-matrix products, a same-length 1-d convolution, stabilized softmax, a few
-elementwise maps, segment-wise max pooling, embedding lookups, and some
-shape plumbing. The tape grows until cleared; training clears it once per
-step and evaluation runs under ``no_grad()``.
+matrix products, a same-length 1-d convolution, stabilized softmax (over an
+axis, or over each run of columns), run sums, a few elementwise maps,
+piecewise max pooling, embedding lookups, and some shape plumbing. The
+convolution, the pool and the run ops take a packed batch, one run of
+columns per sentence or bag, so each runs once per batch. The tape grows
+until cleared; training clears it once per step and evaluation runs under
+``no_grad()``.
 """
 
 from __future__ import annotations
@@ -154,22 +157,23 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # Elementwise primitives.
 #
-# Binary ops accept identical shapes, a scalar on either side, or a
-# per-channel vector (d,) against a (d,n) matrix in either order; the vector
-# broadcasts across the sequence axis (columns).
+# Binary ops accept identical shapes, a scalar on either side, a
+# per-channel vector (d,) against a (d,n) matrix in either order (the vector
+# broadcasts across the sequence axis, the columns), or a (1,n) row against
+# a (d,n) matrix (the row broadcasts down the channels).
 # ---------------------------------------------------------------------------
 
 
 def _pair_views(a: Tensor, b: Tensor) -> tuple[Array, Array]:
     sa, sb = a.shape, b.shape
-    if sa == sb:
-        return a.data, b.data
-    if sa == () or sb == ():
+    if sa == sb or sa == () or sb == ():
         return a.data, b.data
     if len(sa) == 2 and len(sb) == 1 and sb[0] == sa[0]:
         return a.data, b.data[:, None]
     if len(sa) == 1 and len(sb) == 2 and sa[0] == sb[0]:
         return a.data[:, None], b.data
+    if len(sa) == len(sb) == 2 and sa[1] == sb[1] and 1 in (sa[0], sb[0]):
+        return a.data, b.data
     raise ShapeError(f"incompatible shapes for elementwise op: {sa} vs {sb}")
 
 
@@ -180,6 +184,8 @@ def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
         return np.asarray(g.sum())
     if len(shape) == 1:
         return g.sum(axis=1)
+    if len(shape) == 2 and shape[0] == 1:
+        return g.sum(axis=0, keepdims=True)
     raise InternalError(f"cannot reduce gradient of shape {g.shape} to {shape}")
 
 
@@ -252,6 +258,7 @@ def relu(x: Tensor) -> Tensor:
     return _result(out, (x,), pull)
 
 
+# Nothing in seg calls log; it stays because perfbench's tracer wraps seg.numerics.log.
 def log(x: Tensor, floor: float = 0.0) -> Tensor:
     """Natural log; with floor > 0, inputs below the floor are clamped.
 
@@ -299,15 +306,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), pull)
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def _runs(x: Tensor, lengths, what: str) -> tuple[Array, Array]:
+    """Lengths and first columns of the runs of a packed (d, n) matrix's
+    columns; ``lengths`` None is one run."""
+    if x.ndim != 2:
+        raise ShapeError(f"{what} input must be 2-d, got {x.shape}")
+    lens = np.asarray(x.shape[1:] if lengths is None else lengths, dtype=np.intp)
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != x.shape[1]:
+        raise ShapeError(f"{what} needs positive run lengths summing to {x.shape[1]} "
+                         f"columns, got {lens.tolist()}")
+    return lens, np.cumsum(lens) - lens
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """Same-length 1-d convolution over the sequence axis.
 
     ``x`` is (d_in, n), ``kernel`` is (d_out, m, d_in) with odd window m,
-    ``bias`` is (d_out,). The input is zero padded by (m-1)/2 on both sides
-    so the output is (d_out, n).
+    ``bias`` is (d_out,); the output is (d_out, n). Each run of columns given
+    by ``lengths`` (default: all n as one run) is convolved as if zero padded
+    by (m-1)/2 on both sides: a tap that would read across the edge of its
+    run reads zero, so packed sentences do not bleed into each other.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"conv1d input must be 2-d, got {x.shape}")
+    lens, starts = _runs(x, lengths, "conv1d")
     if kernel.ndim != 3:
         raise ShapeError(f"conv1d kernel must be 3-d, got {kernel.shape}")
     d_in, n = x.shape
@@ -316,27 +336,35 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv1d kernel channel dim {kd} does not match input channels {d_in}")
     if bias.shape != (d_out,):
         raise ShapeError(f"conv1d bias must have shape ({d_out},), got {bias.shape}")
-    if n < 1:
-        raise ShapeError("conv1d needs at least one input column")
     if m % 2 == 0:
         raise ValidationError(f"conv1d window size must be odd, got {m}")
     pad = (m - 1) // 2
-    xpad = np.zeros((d_in, n + 2 * pad))
-    xpad[:, pad:pad + n] = x.data
-    cols = np.empty((m, d_in, n))
-    for k in range(m):
-        cols[k] = xpad[:, k:k + n]
-    cols2 = cols.reshape(m * d_in, n)
+    pos = np.arange(n) - np.repeat(starts, lens)  # column offset within its run
+    end = np.repeat(lens, lens)
+    # Tap k of column j reads column j + k - pad; these columns read outside their run.
+    cut = [np.nonzero((pos + k - pad < 0) | (pos + k - pad >= end))[0] for k in range(m)]
+
+    def im2col() -> Array:
+        xpad = np.zeros((d_in, n + 2 * pad))
+        xpad[:, pad:pad + n] = x.data
+        cols = np.empty((m, d_in, n))
+        for k in range(m):
+            cols[k] = xpad[:, k:k + n]
+            cols[k][:, cut[k]] = 0.0
+        return cols.reshape(m * d_in, n)
+
     k2 = kernel.data.reshape(d_out, m * d_in)
-    out = k2 @ cols2 + bias.data[:, None]
+    out = k2 @ im2col() + bias.data[:, None]
 
     def pull(g: Array) -> None:
         _accum(bias, g.sum(axis=1))
-        _accum(kernel, (g @ cols2.T).reshape(d_out, m, d_in))
+        if kernel.requires_grad:  # the columns are rebuilt, not kept on the tape
+            _accum(kernel, (g @ im2col().T).reshape(d_out, m, d_in))
         if x.requires_grad:
             gcols = (k2.T @ g).reshape(m, d_in, n)
-            gpad = np.zeros_like(xpad)
+            gpad = np.zeros((d_in, n + 2 * pad))
             for k in range(m):
+                gcols[k][:, cut[k]] = 0.0
                 gpad[:, k:k + n] += gcols[k]
             _accum(x, gpad[:, pad:pad + n])
 
@@ -360,60 +388,88 @@ def softmax_over_axis(x: Tensor, axis: int) -> Tensor:
     return _result(out, (x,), pull)
 
 
-def segment_max_pool(h: Tensor, boundaries: tuple[int, int]) -> Tensor:
-    """Max over three column segments split at the given positions.
-
-    Segments are [0, p1], [p1+1, p2], and [p2+1, n-1]. An empty segment
-    pools to zero. Ties go to the lowest column index, and gradient flows
-    only to the selected entries.
-    """
-    if h.ndim != 2:
-        raise ShapeError(f"segment_max_pool input must be 2-d, got {h.shape}")
-    d, n = h.shape
-    p1, p2 = int(boundaries[0]), int(boundaries[1])
-    if not (0 <= p1 <= p2 < n):
-        raise InternalError(
-            f"segment boundaries must satisfy 0 <= p1 <= p2 < n, got ({p1}, {p2}) with n={n}"
-        )
-    spans = ((0, p1 + 1), (p1 + 1, p2 + 1), (p2 + 1, n))
-    out = np.zeros((d, 3))
-    picks: list[Array | None] = [None, None, None]
-    rows = np.arange(d)
-    for s, (lo, hi) in enumerate(spans):
-        if hi > lo:
-            seg = h.data[:, lo:hi]
-            am = seg.argmax(axis=1)
-            out[:, s] = seg[rows, am]
-            picks[s] = lo + am
+def segment_softmax(x: Tensor, lengths) -> Tensor:
+    """Softmax along the columns of a (d, n) matrix, taken over each run of
+    ``lengths`` columns on its own: every row of every run sums to 1."""
+    lens, starts = _runs(x, lengths, "segment_softmax")
+    e = np.exp(x.data - np.repeat(np.maximum.reduceat(x.data, starts, axis=1), lens, axis=1))
+    out = e / np.repeat(np.add.reduceat(e, starts, axis=1), lens, axis=1)
 
     def pull(g: Array) -> None:
+        dot = np.add.reduceat(g * out, starts, axis=1)
+        _accum(x, out * (g - np.repeat(dot, lens, axis=1)))
+
+    return _result(out, (x,), pull)
+
+
+def segment_sum(x: Tensor, lengths) -> Tensor:
+    """Sum of each run of ``lengths`` columns: (d, n) -> (d, len(lengths))."""
+    lens, starts = _runs(x, lengths, "segment_sum")
+
+    def pull(g: Array) -> None:
+        _accum(x, np.repeat(g, lens, axis=1))
+
+    return _result(np.add.reduceat(x.data, starts, axis=1), (x,), pull)
+
+
+def segment_max_pool(h: Tensor, boundaries, lengths=None) -> Tensor:
+    """Max over the three segments of each run of columns.
+
+    A run of n columns split at (p1, p2) has the segments [0, p1],
+    [p1+1, p2] and [p2+1, n-1], counted within the run. ``boundaries`` is
+    one (p1, p2) pair, or one pair per run of ``lengths`` (default: all
+    columns as one run). The output is (d, 3 * runs): the three segments of
+    each run in turn. An empty segment pools to zero. Ties go to the lowest
+    column index, and gradient flows only to the selected entries.
+    """
+    lens, starts = _runs(h, lengths, "segment_max_pool")
+    d, n = h.shape
+    p = np.asarray(boundaries, dtype=np.intp).reshape(-1, 2)
+    if len(p) != len(lens) or not np.all((0 <= p[:, 0]) & (p[:, 0] <= p[:, 1])
+                                         & (p[:, 1] < lens)):
+        raise InternalError(f"segment boundaries must satisfy 0 <= p1 <= p2 < n, got "
+                            f"{p.tolist()} with run lengths {lens.tolist()}")
+    edges = np.column_stack([starts, starts + p[:, 0] + 1, starts + p[:, 1] + 1, starts + lens])
+    lo, hi = edges[:, :3].ravel(), edges[:, 1:].ravel()
+    # The non-empty segments tile the columns in order, so one reduceat pools them all.
+    full = np.nonzero(hi > lo)[0]
+    out = np.zeros((d, lo.size))
+    out[:, full] = np.maximum.reduceat(h.data, lo[full], axis=1)
+
+    def pull(g: Array) -> None:
+        # The first column of each segment that attains its max.
+        at_max = h.data == out[:, np.repeat(full, hi[full] - lo[full])]
+        picks = np.minimum.reduceat(np.where(at_max, np.arange(n), n), lo[full], axis=1)
         gx = np.zeros_like(h.data)
-        for s in range(3):
-            if picks[s] is not None:
-                gx[rows, picks[s]] += g[:, s]
+        gx[np.arange(d)[:, None], picks] = g[:, full]
         _accum(h, gx)
 
     return _result(out, (h,), pull)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Select rows of ``table`` and return them as columns, shape (d, n)."""
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Select rows of ``table`` and return them as columns.
+
+    ids of shape (n,) give a (d, n) matrix. ids of shape (n, k) give a
+    (k*d, n) matrix whose j-th block of d rows holds the rows ids[:, j].
+    """
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("embedding_lookup needs a non-empty 1-d id sequence")
+    if idx.ndim not in (1, 2) or idx.size == 0:
+        raise ShapeError("embedding_lookup needs a non-empty (n,) or (n, k) id array")
     rows = table.shape[0]
     if idx.min() < 0 or idx.max() >= rows:
         raise ValidationError(
             f"embedding id out of range: ids span [{idx.min()}, {idx.max()}] "
             f"but the table has {rows} rows"
         )
-    out = table.data[idx].T
+    picked = table.data[idx]
+    out = picked.reshape(idx.shape[0], -1).T
 
     def pull(g: Array) -> None:
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g.T)
+            np.add.at(table.grad, idx, g.T.reshape(picked.shape))
 
     return _result(out, (table,), pull)
 
@@ -497,13 +553,6 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
     return _result(out, tuple(tensors), pull)
 
 
-def split_cols(x: Tensor) -> list[Tensor]:
-    """The columns of a (d, n) matrix as n (d,) vectors: rows of its
-    transpose, whose pulls all add into one (n, d) buffer."""
-    t = transpose(x)
-    return [select_row(t, j) for j in range(t.shape[0])]
-
-
 def nll_columns(logits: Tensor, labels: Sequence[int], floor: float = 1e-12) -> Tensor:
     """Mean negative log-likelihood of one gold row per column of (R, n) logits.
 
@@ -563,12 +612,14 @@ def select_row(m: Tensor, i: int) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: kept entries are rescaled by 1/(1-p)."""
+    """Inverted dropout: kept entries are rescaled by 1/(1-p). The mask is
+    drawn column by column, so a (d, n) matrix takes the draws its n columns
+    would take if dropped out one after another."""
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"dropout rate must lie in [0, 1), got {p}")
     if p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = (rng.random(x.shape[::-1]).T >= p) / (1.0 - p)
     out = x.data * mask
 
     def pull(g: Array) -> None:

@@ -3,9 +3,9 @@
 Criteria 1-3 and 7-8 are exact property checks. Criteria 4-6 are directional
 synthetic experiments: a clean-data overfit smoke test, then paired-seed
 comparisons of the full model against the attention-only baseline under
-35% label noise. Runtime is dominated by criteria 4-6 (about eleven minutes
-in total on a 2-core box, of a twelve-minute full suite); every criterion
-also enforces its own wall-clock budget.
+35% label noise. Runtime is dominated by criteria 4-6 (about 100 seconds in
+total on a 2-core box, of a two-minute full suite); every criterion also
+enforces its own wall-clock budget.
 """
 
 import math

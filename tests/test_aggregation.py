@@ -44,6 +44,11 @@ def make_gate_params(d_u, gate_dim, seed=0, zero_bias=False):
     )
 
 
+def packed(vectors):
+    """Vectors as the columns of one (d, m) matrix; gradients flow back to each."""
+    return nm.concat([nm.reshape(v, (v.size, 1)) for v in vectors], axis=1)
+
+
 def make_attn_params(num_relations, d, seed=1):
     rng = np.random.default_rng(seed)
     return SelectiveAttnParams(
@@ -174,23 +179,26 @@ def test_attention_weights_match_hand_softmax():
 
 
 def test_attention_all_relations_columns_match_single_queries():
+    # The packed form attends bag b with relation[b]: R copies of one bag,
+    # copy r attending with r, give column r equal to the single-query form.
     params = make_attn_params(5, 4, seed=18)
     for m in (1, 2, 4):
         ss = vecs(17 + m, m, 4)
-        out = selective_attention_aggregate(ss, None, params)
+        out = selective_attention_aggregate(packed(ss * 5), range(5), params, sizes=[m] * 5)
         assert out.shape == (4, 5)
         for r in range(5):
             one = selective_attention_aggregate(ss, r, params).data
             assert np.allclose(out.data[:, r], one, rtol=1e-12, atol=1e-14)
     s, = vecs(40, 1, 4)
-    out = selective_attention_aggregate([s], None, params)
+    out = selective_attention_aggregate(packed([s] * 5), range(5), params, sizes=[1] * 5)
     assert np.array_equal(out.data, np.repeat(s.data[:, None], 5, axis=1))
 
 
 def test_attention_all_relations_gradient_matches_single_queries():
     ss = vecs(41, 3, 4)
     params = make_attn_params(3, 4, seed=42)
-    backward(nm.sum_all(selective_attention_aggregate(ss, None, params)))
+    out = selective_attention_aggregate(packed(ss * 3), [0, 1, 2], params, sizes=[3, 3, 3])
+    backward(nm.sum_all(out))
     joint = [params.queries.grad.copy(), params.bilinear.grad.copy()]
     joint += [s.grad.copy() for s in ss]
     clear_tape()
@@ -212,17 +220,17 @@ def test_attention_all_relations_gradient_matches_single_queries():
 def test_concat_singleton():
     s, = vecs(19, 1, 3)
     u, = vecs(20, 1, 2)
-    out = concat_aggregate([s], [u])
-    assert np.allclose(out.data, np.concatenate([s.data, u.data]))
+    out = concat_aggregate(packed([s]), packed([u]), [1])
+    assert np.allclose(out.data[:, 0], np.concatenate([s.data, u.data]))
 
 
 def test_concat_length_and_hand_mean():
     ss, us = vecs(21, 2, 3), vecs(22, 2, 2)
-    out = concat_aggregate(ss, us)
-    assert out.shape == (5,)
+    out = concat_aggregate(packed(ss), packed(us), [2])
+    assert out.shape == (5, 1)
     want = 0.5 * (np.concatenate([ss[0].data, us[0].data])
                   + np.concatenate([ss[1].data, us[1].data]))
-    assert np.allclose(out.data, want, atol=1e-12)
+    assert np.allclose(out.data[:, 0], want, atol=1e-12)
 
 
 # -- gate + attention --------------------------------------------------------------
@@ -231,24 +239,22 @@ def test_concat_length_and_hand_mean():
 def test_gated_vectors_forms():
     ss = vecs(43, 2, 3)
     gs = [Tensor(np.random.default_rng(44 + i).uniform(0.2, 0.8, 3)) for i in range(2)]
-    full = gated_vectors(ss, gs)
-    for v, g, s in zip(full, gs, ss):
-        assert np.array_equal(v.data, g.data * s.data)
-    scalar = gated_vectors(ss, gs, scalar_gate=True)
-    for v, g, s in zip(scalar, gs, ss):
-        assert np.array_equal(v.data, np.sum(g.data) * (1.0 / g.size) * s.data)
-    with pytest.raises(ShapeError, match="2 vectors but 1 gates"):
-        gated_vectors(ss, gs[:1])
+    full = gated_vectors(packed(ss), packed(gs))
+    for j, (g, s) in enumerate(zip(gs, ss)):
+        assert np.array_equal(full.data[:, j], g.data * s.data)
+    scalar = gated_vectors(packed(ss), packed(gs), scalar_gate=True)
+    for j, (g, s) in enumerate(zip(gs, ss)):
+        assert np.allclose(scalar.data[:, j], np.mean(g.data) * s.data, rtol=1e-15)
     with pytest.raises(ShapeError, match="does not match"):
-        gated_vectors(ss, [Tensor(np.ones(2))] * 2)
+        gated_vectors(packed(ss), packed([Tensor(np.ones(2))] * 2))
 
 
 def test_gate_plus_attention_singleton_forms():
     s, = vecs(23, 1, 4)
     g = Tensor(np.random.default_rng(24).uniform(0.2, 0.8, 4))
     params = make_attn_params(3, 4, seed=25)
-    gated = gate_plus_attention_aggregate([s], [g], 0, params)
-    assert np.allclose(gated.data, g.data * s.data, atol=1e-12)
+    gated = gate_plus_attention_aggregate(packed([s]), packed([g]), [0], params, [1])
+    assert np.allclose(gated.data[:, 0], g.data * s.data, atol=1e-12)
 
 
 def test_gate_plus_attention_uniform_scores_reduce_to_gate_aggregate():
@@ -257,11 +263,13 @@ def test_gate_plus_attention_uniform_scores_reduce_to_gate_aggregate():
     params = make_attn_params(3, 4, seed=28)
     params.bilinear.data[...] = 0.0  # all scores zero -> uniform softmax
     want = gate_aggregate(ss, gs)
-    out = gate_plus_attention_aggregate(ss, gs, 1, params)
-    assert np.allclose(out.data, want.data, atol=1e-12)
-    composed = selective_attention_aggregate(gated_vectors(ss, gs), 1, params)
+    out = gate_plus_attention_aggregate(packed(ss), packed(gs), [1], params, [3])
+    assert np.allclose(out.data[:, 0], want.data, atol=1e-12)
+    composed = selective_attention_aggregate(gated_vectors(packed(ss), packed(gs)), [1], params,
+                                             sizes=[3])
     assert np.array_equal(out.data, composed.data)
-    every = gate_plus_attention_aggregate(ss, gs, None, params)
+    every = gate_plus_attention_aggregate(packed(ss * 3), packed(gs * 3), [0, 1, 2], params,
+                                          [3, 3, 3])
     assert np.allclose(every.data, np.repeat(want.data[:, None], 3, axis=1), atol=1e-12)
 
 
@@ -270,15 +278,14 @@ def test_gate_plus_attention_composed_oracle_m2():
     gs = [Tensor(np.random.default_rng(30 + i).uniform(0.2, 0.8, 3)) for i in range(2)]
     params = make_attn_params(4, 3, seed=31)
     gated = [g.data * s.data for g, s in zip(gs, ss)]
-    every = gate_plus_attention_aggregate(ss, gs, None, params)
+    every = gate_plus_attention_aggregate(packed(ss * 4), packed(gs * 4), range(4), params,
+                                          [2] * 4)
     for r in range(4):
-        out = gate_plus_attention_aggregate(ss, gs, r, params)
         target = params.bilinear.data @ params.queries.data[r]
         scores = np.array([v @ target for v in gated])
         e = np.exp(scores - scores.max())
         w = e / e.sum()
         want = w[0] * gated[0] + w[1] * gated[1]
-        assert np.allclose(out.data, want, atol=1e-12)
         assert np.allclose(every.data[:, r], want, atol=1e-12)
 
 
@@ -298,14 +305,19 @@ def test_all_aggregators_permutation_equivariant():
 
     gs = gate_values(us, gate_p)
     gs_p = gate_values(us_p, gate_p)
+    g, g_p = gate_values(packed(us), gate_p), gate_values(packed(us_p), gate_p)
     cases = [
-        (mean_vectors(ss), mean_vectors(ss_p)),
+        (mean_vectors(packed(ss), [m]), mean_vectors(packed(ss_p), [m])),
         (gate_aggregate(ss, gs), gate_aggregate(ss_p, gs_p)),
-        (concat_aggregate(ss, us), concat_aggregate(ss_p, us_p)),
+        (gate_aggregate(packed(ss), g, sizes=[m]), gate_aggregate(packed(ss_p), g_p, sizes=[m])),
+        (concat_aggregate(packed(ss), packed(us), [m]),
+         concat_aggregate(packed(ss_p), packed(us_p), [m])),
         (selective_attention_aggregate(ss, 1, attn_p),
          selective_attention_aggregate(ss_p, 1, attn_p)),
-        (gate_plus_attention_aggregate(ss, gs, 1, attn_p),
-         gate_plus_attention_aggregate(ss_p, gs_p, 1, attn_p)),
+        (selective_attention_aggregate(packed(ss), [1], attn_p, sizes=[m]),
+         selective_attention_aggregate(packed(ss_p), [1], attn_p, sizes=[m])),
+        (gate_plus_attention_aggregate(packed(ss), g, [1], attn_p, [m]),
+         gate_plus_attention_aggregate(packed(ss_p), g_p, [1], attn_p, [m])),
     ]
     for a, b in cases:
         assert np.allclose(a.data, b.data, atol=1e-12)

@@ -307,6 +307,20 @@ def test_resume_matches_straight_run_bit_for_bit(tmp_path):
         (straight / "ckpt_final.json").read_bytes()
 
 
+def test_resume_with_model_flags_exits_one_naming_them(tmp_path, capsys):
+    corpus = synth(tmp_path)
+    run = quick_train(tmp_path, corpus, steps="2")
+    out = tmp_path / "again"
+    rc = main(["train", "--train-data", str(corpus / "train.jsonl"), "--out-dir", str(out),
+               "--resume", str(run / "ckpt_final.json"), "--max-steps", "4",
+               "--variant", "seg_wo_all", "--word-dim", "7",
+               "--model-config", str(tmp_path / "nonexistent.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--model-config, --word-dim, --variant" in err
+    assert not out.exists()
+
+
 def test_resume_beyond_max_steps_exits_one(tmp_path, capsys):
     corpus = synth(tmp_path)
     run = quick_train(tmp_path, corpus, steps="3")
@@ -401,9 +415,9 @@ def test_eval_makes_one_prediction_pass(tmp_path, monkeypatch):
     corpus = synth(tmp_path)
     run = quick_train(tmp_path, corpus)
     calls = []
-    real = seg.evaluation.forward_bag
-    monkeypatch.setattr(seg.evaluation, "forward_bag",
-                        lambda bag, *a: calls.append(bag) or real(bag, *a))
+    real = seg.evaluation.forward_bags
+    monkeypatch.setattr(seg.evaluation, "forward_bags",
+                        lambda bags, *a: calls.extend(bags) or real(bags, *a))
     rc, _ = run_eval(tmp_path, corpus, run)
     assert rc == 0
     bags = load_jsonl(corpus / "test.jsonl").bags

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import seg.numerics as nm
-from seg.data import SentenceExample
+from seg.data import Bag, SentenceExample
 from seg.embedding import (
     EmbeddingTables,
     EntityAwareGateParams,
     embed_entity_concat,
     embed_positional,
     entity_aware_embed,
+    pack_bags,
     relative_offset_bucket,
 )
 from seg.errors import ShapeError
@@ -47,6 +48,10 @@ def make_gate(d_out, ent_rows, pos_rows, smoothing=1.0, seed=1):
 SENT = SentenceExample(tokens=(2, 5, 3, 7, 2), head_pos=1, tail_pos=3, head_id=0, tail_id=1)
 
 
+def pack_of(*sents):
+    return pack_bags([Bag(tuple(sents), 0)])
+
+
 def test_offset_buckets():
     assert relative_offset_bucket(4, 4, 5) == 5          # distance zero sits mid-table
     assert relative_offset_bucket(0, 4, 5) == 1
@@ -69,9 +74,38 @@ def test_offset_bucket_monotone_and_saturating():
     assert relative_offset_bucket(50, 0, 12) == 24
 
 
+def test_packed_views_equal_per_token_oracle():
+    # Sentences of 1-12 tokens packed side by side, split over two bags: every
+    # column holds its own word, its offset buckets to its own sentence's
+    # entities, and its own sentence's entity surfaces.
+    tables = make_tables(vocab=9, clip=3)
+    rng = np.random.default_rng(12)
+    sents = []
+    for n in (1, 12, 2, 7, 4):
+        head, tail = (int(p) for p in rng.integers(0, n, size=2))
+        sents.append(SentenceExample(tuple(int(t) for t in rng.integers(0, 9, size=n)),
+                                     head, tail, head_id=0, tail_id=1))
+    pack = pack_bags([Bag(tuple(sents[:2]), 0), Bag(tuple(sents[2:]), 1)])
+    assert pack.bag_sizes.tolist() == [2, 3]
+    x_pos = embed_positional(pack, tables).data
+    x_ent = embed_entity_concat(pack, tables).data
+    col = 0
+    for sent in sents:
+        for i, tok in enumerate(sent.tokens):
+            head = relative_offset_bucket(i, sent.head_pos, 3)
+            tail = relative_offset_bucket(i, sent.tail_pos, 3)
+            assert np.array_equal(x_pos[:, col], np.concatenate(
+                [tables.word.data[tok], tables.position.data[head], tables.position.data[tail]]))
+            assert np.array_equal(x_ent[:, col], np.concatenate(
+                [tables.word.data[tok], tables.word.data[sent.tokens[sent.head_pos]],
+                 tables.word.data[sent.tokens[sent.tail_pos]]]))
+            col += 1
+    assert col == x_pos.shape[1]
+
+
 def test_positional_view_layout():
     tables = make_tables()
-    out = embed_positional(SENT, tables)
+    out = embed_positional(pack_of(SENT), tables)
     assert out.shape == (4 + 3 + 3, 5)
     assert np.array_equal(out.data[:4, 0], tables.word.data[2])
     # Head-offset rows at the head position hold the distance-zero vector.
@@ -82,7 +116,7 @@ def test_positional_view_layout():
 
 def test_entity_view_tiles_surfaces():
     tables = make_tables()
-    out = embed_entity_concat(SENT, tables)
+    out = embed_entity_concat(pack_of(SENT), tables)
     assert out.shape == (12, 5)
     for col in range(5):
         assert np.array_equal(out.data[4:8, col], tables.word.data[5])   # head surface
@@ -92,10 +126,10 @@ def test_entity_view_tiles_surfaces():
 
 def test_default_scale_row_counts():
     tables = make_tables(vocab=20, d_w=50, d_r=5, clip=30)
-    assert embed_positional(SENT, tables).shape == (60, 5)
-    assert embed_entity_concat(SENT, tables).shape == (150, 5)
+    assert embed_positional(pack_of(SENT), tables).shape == (60, 5)
+    assert embed_entity_concat(pack_of(SENT), tables).shape == (150, 5)
     one = SentenceExample(tokens=(2,), head_pos=0, tail_pos=0, head_id=0, tail_id=0)
-    assert embed_positional(one, tables).shape == (60, 1)
+    assert embed_positional(pack_of(one), tables).shape == (60, 1)
 
 
 def test_equidistant_tokens_share_position_components():
@@ -104,17 +138,17 @@ def test_equidistant_tokens_share_position_components():
     # for every token, so rows d_w.. are duplicated blocks.
     sent = SentenceExample(tokens=(2, 5, 3, 7, 2), head_pos=2, tail_pos=2, head_id=0, tail_id=1)
     tables = make_tables()
-    out = embed_positional(sent, tables)
+    out = embed_positional(pack_of(sent), tables)
     assert np.array_equal(out.data[4:7], out.data[7:10])
 
 
 def test_swapping_entities_permutes_blocks():
     tables = make_tables()
-    fwd = embed_entity_concat(SENT, tables)
+    fwd = embed_entity_concat(pack_of(SENT), tables)
     swapped = SentenceExample(tokens=SENT.tokens, head_pos=SENT.tail_pos,
                               tail_pos=SENT.head_pos, head_id=SENT.tail_id,
                               tail_id=SENT.head_id)
-    back = embed_entity_concat(swapped, tables)
+    back = embed_entity_concat(pack_of(swapped), tables)
     assert np.array_equal(fwd.data[4:8], back.data[8:12])
     assert np.array_equal(fwd.data[8:12], back.data[4:8])
     assert np.array_equal(fwd.data[:4], back.data[:4])
@@ -128,8 +162,8 @@ def test_hand_computed_single_token_mix():
     tables = EmbeddingTables(Tensor(word, requires_grad=True),
                              Tensor(position, requires_grad=True), pos_clip=1)
     sent = SentenceExample(tokens=(2,), head_pos=0, tail_pos=0, head_id=0, tail_id=0)
-    x_pos = embed_positional(sent, tables)
-    x_ent = embed_entity_concat(sent, tables)
+    x_pos = embed_positional(pack_of(sent), tables)
+    x_ent = embed_entity_concat(pack_of(sent), tables)
     assert np.allclose(x_pos.data[:, 0], [0.3, -0.2, 0.1, 0.1])  # zero-offset bucket 1
     assert np.allclose(x_ent.data[:, 0], [0.3, -0.2, 0.3, -0.2, 0.3, -0.2])
 
@@ -152,8 +186,8 @@ def test_hand_computed_single_token_mix():
 
 def test_gate_zero_smoothing_gives_even_mix():
     tables = make_tables()
-    x_pos = embed_positional(SENT, tables)
-    x_ent = embed_entity_concat(SENT, tables)
+    x_pos = embed_positional(pack_of(SENT), tables)
+    x_ent = embed_entity_concat(pack_of(SENT), tables)
     gate = make_gate(12, 12, 10, smoothing=0.0)
     out = entity_aware_embed(x_pos, x_ent, gate)
     projected = np.tanh(gate.w_proj.data @ x_pos.data + gate.b_proj.data[:, None])
@@ -162,8 +196,8 @@ def test_gate_zero_smoothing_gives_even_mix():
 
 def test_mix_is_elementwise_convex_combination():
     tables = make_tables(seed=3)
-    x_pos = embed_positional(SENT, tables)
-    x_ent = embed_entity_concat(SENT, tables)
+    x_pos = embed_positional(pack_of(SENT), tables)
+    x_ent = embed_entity_concat(pack_of(SENT), tables)
     gate = make_gate(12, 12, 10, seed=4)
     out = entity_aware_embed(x_pos, x_ent, gate)
     projected = np.tanh(gate.w_proj.data @ x_pos.data + gate.b_proj.data[:, None])
@@ -174,8 +208,8 @@ def test_mix_is_elementwise_convex_combination():
 
 def test_large_smoothing_saturates_to_entity_view():
     tables = make_tables(seed=5)
-    x_pos = embed_positional(SENT, tables)
-    x_ent = embed_entity_concat(SENT, tables)
+    x_pos = embed_positional(pack_of(SENT), tables)
+    x_ent = embed_entity_concat(pack_of(SENT), tables)
     gate = make_gate(12, 12, 10, smoothing=1e4, seed=6)
     out = entity_aware_embed(x_pos, x_ent, gate)
     pre = gate.w_gate.data @ x_ent.data + gate.b_gate.data[:, None]
@@ -186,8 +220,8 @@ def test_large_smoothing_saturates_to_entity_view():
 
 def test_gate_shape_mismatch_raises():
     tables = make_tables()
-    x_pos = embed_positional(SENT, tables)
-    x_ent = embed_entity_concat(SENT, tables)
+    x_pos = embed_positional(pack_of(SENT), tables)
+    x_ent = embed_entity_concat(pack_of(SENT), tables)
     with pytest.raises(ShapeError):
         entity_aware_embed(x_pos, x_ent, make_gate(12, 11, 10))
 
@@ -221,8 +255,8 @@ def test_embedding_pipeline_fd():
     w = Tensor(rng.standard_normal((12, 5)))
 
     def build():
-        x_pos = embed_positional(SENT, tables)
-        x_ent = embed_entity_concat(SENT, tables)
+        x_pos = embed_positional(pack_of(SENT), tables)
+        x_ent = embed_entity_concat(pack_of(SENT), tables)
         out = entity_aware_embed(x_pos, x_ent, gate)
         return nm.sum_all(nm.mul(out, w))
 

@@ -40,13 +40,24 @@ def make_attn(d, seed=1):
     )
 
 
+def pcnn_one(x, head, tail, params):
+    """One sentence through the packed encoder, as a (3*d_c,) vector."""
+    out = pcnn_encode(x, [(head, tail)], [x.shape[1]], params)
+    return nm.reshape(out, (out.size,))
+
+
+def stacked_one(x, head, tail, pcnn, attn):
+    out, _ = stacked_encode(x, [(head, tail)], [x.shape[1]], pcnn, attn)
+    return nm.reshape(out, (out.size,))
+
+
 def rand_x(d, n, seed=2):
     return Tensor(np.random.default_rng(seed).standard_normal((d, n)), requires_grad=True)
 
 
 def test_pcnn_output_length():
     x = rand_x(5, 9)
-    out = pcnn_encode(x, 2, 6, make_pcnn(4, 3, 5))
+    out = pcnn_one(x, 2, 6, make_pcnn(4, 3, 5))
     assert out.shape == (12,)
     assert (np.abs(out.data) < 1.0).all()  # squashed by tanh
 
@@ -56,7 +67,7 @@ def test_pcnn_segment_major_layout():
     # per-segment maxima of the conv map, in segment order.
     x = Tensor(np.array([[0.1, 0.9, 0.2, 0.7, 0.3]]))
     pcnn = PcnnParams(kernel=Tensor(np.ones((1, 1, 1))), bias=Tensor(np.zeros(1)))
-    out = pcnn_encode(x, 1, 3, pcnn)
+    out = pcnn_one(x, 1, 3, pcnn)
     assert np.allclose(out.data, np.tanh([0.9, 0.7, 0.3]))
 
 
@@ -64,7 +75,7 @@ def test_pcnn_multichannel_segment_major():
     x = Tensor(np.array([[1.0, 5.0, 2.0], [3.0, 1.0, 4.0]]))
     kernel = Tensor(np.eye(2).reshape(2, 1, 2))
     pcnn = PcnnParams(kernel=kernel, bias=Tensor(np.zeros(2)))
-    out = pcnn_encode(x, 0, 1, pcnn)
+    out = pcnn_one(x, 0, 1, pcnn)
     # Segments: [0..0], [1..1], [2..2]; layout is all channels of segment 1,
     # then segment 2, then segment 3.
     assert np.allclose(out.data, np.tanh([1.0, 3.0, 5.0, 1.0, 2.0, 4.0]))
@@ -73,21 +84,21 @@ def test_pcnn_multichannel_segment_major():
 def test_pcnn_entity_order_is_normalized():
     x = rand_x(4, 8, seed=3)
     pcnn = make_pcnn(3, 3, 4, seed=4)
-    a = pcnn_encode(x, 2, 5, pcnn)
-    b = pcnn_encode(x, 5, 2, pcnn)
+    a = pcnn_one(x, 2, 5, pcnn)
+    b = pcnn_one(x, 5, 2, pcnn)
     assert np.array_equal(a.data, b.data)
 
 
 def test_pcnn_adjacent_tail_at_end_zeroes_third_segment():
     x = rand_x(4, 6, seed=5)
     pcnn = make_pcnn(3, 3, 4, seed=6)
-    out = pcnn_encode(x, 2, 5, pcnn)
+    out = pcnn_one(x, 2, 5, pcnn)
     assert np.array_equal(out.data[6:9], np.tanh(np.zeros(3)))
 
 
 def test_pcnn_default_scale_output_length():
     x = rand_x(6, 5)
-    out = pcnn_encode(x, 1, 3, make_pcnn(230, 3, 6))
+    out = pcnn_one(x, 1, 3, make_pcnn(230, 3, 6))
     assert out.shape == (690,)
 
 
@@ -147,10 +158,10 @@ def test_stacked_uniform_attention_scales_columns():
         w_score=Tensor(np.zeros((4, 4))),
         b_score=Tensor(np.zeros(4)),
     )
-    stacked = stacked_encode(x, 1, 3, pcnn, attn)
-    scaled = pcnn_encode(Tensor(x.data / 5.0), 1, 3, pcnn)
+    stacked = stacked_one(x, 1, 3, pcnn, attn)
+    scaled = pcnn_one(Tensor(x.data / 5.0), 1, 3, pcnn)
     assert np.allclose(stacked.data, scaled.data, atol=1e-12)
-    plain = pcnn_encode(x, 1, 3, pcnn)
+    plain = pcnn_one(x, 1, 3, pcnn)
     assert not np.allclose(stacked.data, plain.data)
 
 
@@ -160,14 +171,14 @@ def test_stacked_single_column_reduces_to_plain_pcnn():
     x = Tensor(np.random.default_rng(13).standard_normal((4, 1)), requires_grad=True)
     pcnn = make_pcnn(3, 3, 4, seed=14)
     attn = make_attn(4, seed=15)
-    a = stacked_encode(x, 0, 0, pcnn, attn)
-    b = pcnn_encode(x, 0, 0, pcnn)
+    a = stacked_one(x, 0, 0, pcnn, attn)
+    b = pcnn_one(x, 0, 0, pcnn)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 def test_stacked_output_shape():
     x = rand_x(4, 9, seed=16)
-    out = stacked_encode(x, 1, 6, make_pcnn(5, 3, 4, seed=17), make_attn(4, seed=18))
+    out = stacked_one(x, 1, 6, make_pcnn(5, 3, 4, seed=17), make_attn(4, seed=18))
     assert out.shape == (15,)
 
 
@@ -181,14 +192,55 @@ def test_encoders_fd():
     w_t = Tensor(rng.standard_normal(9))
 
     def build():
-        s = pcnn_encode(x, 2, 4, pcnn)
+        s = pcnn_one(x, 2, 4, pcnn)
         u = self_attn_encode(x, attn)
-        t = stacked_encode(x, 2, 4, pcnn, attn)
+        t = stacked_one(x, 2, 4, pcnn, attn)
         total = nm.add(nm.sum_all(nm.mul(s, w_s)), nm.sum_all(nm.mul(u, w_u)))
         return nm.add(total, nm.sum_all(nm.mul(t, w_t)))
 
     params = [("x", x), ("kernel", pcnn.kernel), ("bias", pcnn.bias),
               ("w_hidden", attn.w_hidden), ("b_hidden", attn.b_hidden),
               ("w_score", attn.w_score), ("b_score", attn.b_score)]
+    report = grad_check(build, params, eps=1e-5, tol=1e-4)
+    assert report.passed, report.format()
+
+
+def test_packed_encoders_equal_per_sentence_encoders():
+    lens, ents = [3, 1, 8, 5], [(2, 0), (0, 0), (1, 6), (4, 4)]
+    x = rand_x(4, sum(lens), seed=30)
+    pcnn, attn = make_pcnn(3, 5, 4, seed=31), make_attn(4, seed=32)
+    feats = pcnn_encode(x, ents, lens, pcnn).data
+    summaries = self_attn_encode(x, attn, lens).data
+    stacked, stacked_u = stacked_encode(x, ents, lens, pcnn, attn)
+    assert feats.shape == (9, 4) and summaries.shape == (4, 4)
+    lo = 0
+    for i, ((h, t), n) in enumerate(zip(ents, lens)):
+        one = Tensor(x.data[:, lo:lo + n])
+        assert np.allclose(feats[:, i], pcnn_one(one, h, t, pcnn).data, rtol=1e-13, atol=1e-15)
+        assert np.allclose(summaries[:, i], self_attn_encode(one, attn).data,
+                           rtol=1e-13, atol=1e-15)
+        assert np.allclose(stacked.data[:, i], stacked_one(one, h, t, pcnn, attn).data,
+                           rtol=1e-13, atol=1e-15)
+        assert np.allclose(stacked_u.data[:, i], summaries[:, i], rtol=1e-13, atol=1e-15)
+        lo += n
+
+
+def test_packed_encoders_fd():
+    lens, ents = [3, 1, 4], [(0, 2), (0, 0), (3, 1)]
+    x = rand_x(4, sum(lens), seed=33)
+    pcnn, attn = make_pcnn(3, 3, 4, seed=34), make_attn(4, seed=35)
+    rng = np.random.default_rng(36)
+    w_s, w_u, w_t = (Tensor(rng.standard_normal(shape)) for shape in ((9, 3), (4, 3), (9, 3)))
+
+    def build():
+        s = pcnn_encode(x, ents, lens, pcnn)
+        u = self_attn_encode(x, attn, lens)
+        t, _ = stacked_encode(x, ents, lens, pcnn, attn)
+        total = nm.add(nm.sum_all(nm.mul(s, w_s)), nm.sum_all(nm.mul(u, w_u)))
+        return nm.add(total, nm.sum_all(nm.mul(t, w_t)))
+
+    params = [("x", x), ("kernel", pcnn.kernel), ("bias", pcnn.bias),
+              ("w_hidden", attn.w_hidden), ("b_hidden", attn.b_hidden),
+              ("w_score", attn.w_score)]
     report = grad_check(build, params, eps=1e-5, tol=1e-4)
     assert report.passed, report.format()

@@ -260,16 +260,17 @@ def test_dataset_auc_agrees_with_report(scored_corpus):
 
 
 def count_forward_bag(monkeypatch):
+    """Record the size of every bag the eval pass forwards."""
     import seg.evaluation
 
     calls = []
-    real = seg.evaluation.forward_bag
+    real = seg.evaluation.forward_bags
 
-    def counted(bag, params, config):
-        calls.append(len(bag.sentences))
-        return real(bag, params, config)
+    def counted(bags, params, config):
+        calls.extend(len(bag.sentences) for bag in bags)
+        return real(bags, params, config)
 
-    monkeypatch.setattr(seg.evaluation, "forward_bag", counted)
+    monkeypatch.setattr(seg.evaluation, "forward_bags", counted)
     return calls
 
 

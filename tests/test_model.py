@@ -10,8 +10,10 @@ import pytest
 
 import seg.model
 import seg.numerics as nm
-from seg.aggregation import gate_values, selective_attention_aggregate
+from seg.aggregation import gate_aggregate, gate_values, selective_attention_aggregate
 from seg.data import Bag, Dataset, SentenceExample
+from seg.embedding import embed_entity_concat, embed_positional, entity_aware_embed, pack_bags
+from seg.encoders import attention_weights, pcnn_encode, self_attn_encode
 from seg.errors import DataError, ValidationError
 from seg.evaluation import accuracy, predict_dataset
 from seg.model import (
@@ -19,11 +21,8 @@ from seg.model import (
     VARIANTS,
     ModelConfig,
     SegParams,
-    _aggregate,
-    _bag_columns,
     _classify,
     _rng_for,
-    _sentence_vectors,
     forward_bag,
     l2_penalty,
     load_checkpoint,
@@ -200,18 +199,68 @@ def test_eval_confidence_uses_per_relation_queries():
     assert np.allclose(pred.probs, pred.confidence / pred.confidence.sum())
 
 
+def sentence_vectors(bag, params, config):
+    """Per-sentence oracle encoder: each sentence embedded and encoded on
+    its own, as a one-sentence pack. Returns (feat,) features and (d,)
+    attention summaries, one per sentence."""
+    feats, summaries = [], []
+    for sent in bag.sentences:
+        pack = pack_bags([Bag((sent,), bag.label)])
+        x = embed_positional(pack, params.tables)
+        if config.wiring.entity_mix:
+            x = entity_aware_embed(x, embed_entity_concat(pack, params.tables),
+                                   params.entity_gate)
+        x_conv = x
+        if config.wiring.stacked:
+            x_conv = nm.mul(attention_weights(x, params.self_attn), x)
+        s = pcnn_encode(x_conv, pack.entities, pack.lengths, params.pcnn)
+        feats.append(nm.reshape(s, (s.size,)))
+        if config.wiring.self_attn:
+            summaries.append(self_attn_encode(x, params.self_attn))
+    return feats, summaries
+
+
+def gated_oracle(feats, gates, scalar_gate):
+    out = []
+    for g, s in zip(gates, feats):
+        if scalar_gate:
+            g = nm.scale(nm.sum_all(g), 1.0 / g.size)
+        out.append(nm.mul(g, s))
+    return out
+
+
+def mean_oracle(vectors):
+    acc = vectors[0]
+    for v in vectors[1:]:
+        acc = nm.add(acc, v)
+    return nm.scale(acc, 1.0 / len(vectors))
+
+
+def bag_vector_oracle(bag, params, config):
+    """One bag's vector from per-sentence vectors and the per-sentence
+    aggregators; attention variants attend with the bag's gold label."""
+    feats, summaries = sentence_vectors(bag, params, config)
+    wiring = config.wiring
+    if wiring.gate:
+        gates = gate_values(summaries, params.gate)
+        if not wiring.selective_attn:
+            return gate_aggregate(feats, gates, config.scalar_gate)
+        feats = gated_oracle(feats, gates, config.scalar_gate)
+    if wiring.selective_attn:
+        return selective_attention_aggregate(feats, bag.label, params.selective_attn)
+    if wiring.self_attn:
+        return mean_oracle([nm.concat([s, u], axis=0) for s, u in zip(feats, summaries)])
+    return mean_oracle(feats)
+
+
 def per_relation_confidence(bag, params, config):
     """Reference eval confidence: one attention pass and one classifier pass
     per relation, each reading only its own relation's probability."""
     with nm.no_grad():
-        feats, summaries = _sentence_vectors(bag, params, config)
+        feats, summaries = sentence_vectors(bag, params, config)
         pool = feats
         if config.variant == "seg_attn":
-            pool = []
-            for g, s in zip(gate_values(summaries, params.gate), feats):
-                if config.scalar_gate:
-                    g = nm.scale(nm.sum_all(g), 1.0 / g.size)
-                pool.append(nm.mul(g, s))
+            pool = gated_oracle(feats, gate_values(summaries, params.gate), config.scalar_gate)
         confidence = np.empty(config.num_relations)
         for r in range(config.num_relations):
             c = selective_attention_aggregate(pool, r, params.selective_attn)
@@ -306,22 +355,18 @@ def batch_of(size, num_relations):
 
 
 def per_bag_loss(batch, params, config, rng):
-    """The per-bag head that the batched loss replaced: a gate pass per
-    sentence, the integer-relation attention target, a vector dropout draw,
-    one classifier pass and a floored log per bag."""
+    """The per-sentence model the packed loss replaced: every sentence
+    encoded on its own, the per-sentence aggregators per bag, a vector
+    dropout draw, one classifier pass and a floored NLL per bag."""
     total = None
     for bag in batch:
-        feats, summaries = _sentence_vectors(bag, params, config)
-        gates = None
-        if config.wiring.gate:
-            gates = [gate_values([u], params.gate)[0] for u in summaries]
-        c = _aggregate(feats, summaries, gates, bag.label, params, config)
+        c = bag_vector_oracle(bag, params, config)
         if rng is not None:
             c = nm.dropout(c, config.dropout_p, rng)
-        dist = nm.softmax_over_axis(_classify(c, params), 0)
-        ll = nm.log(nm.select_index(dist, bag.label), floor=1e-12)
+        ll = nm.nll_columns(nm.reshape(_classify(c, params), (config.num_relations, 1)),
+                            [bag.label])
         total = ll if total is None else nm.add(total, ll)
-    out = nm.scale(total, -1.0 / len(batch))
+    out = nm.scale(total, 1.0 / len(batch))
     return nm.add(out, nm.scale(l2_penalty(params), config.l2_coef))
 
 
@@ -358,11 +403,11 @@ def test_batched_loss_matches_per_bag_oracle(variant, scalar_gate, dropout_p):
 
 
 def test_batched_dropout_mask_equals_per_bag_draws():
-    config = tiny(dropout_p=0.5)
-    aggs = [Tensor(np.ones(690)) for _ in range(32)]
-    got = _bag_columns(aggs, config, True, np.random.default_rng(21)).data
+    aggs = Tensor(np.ones((690, 32)))
+    got = nm.dropout(aggs, 0.5, np.random.default_rng(21)).data
     per_bag = np.random.default_rng(21)
-    want = np.stack([nm.dropout(c, 0.5, per_bag).data for c in aggs], axis=1)
+    want = np.stack([nm.dropout(Tensor(np.ones(690)), 0.5, per_bag).data for _ in range(32)],
+                    axis=1)
     assert np.array_equal(got, want)
     assert 0.4 < np.count_nonzero(got) / got.size < 0.6
 
@@ -400,6 +445,74 @@ def test_head_weights_enter_one_matmul_per_loss(variant, monkeypatch):
         assert sorted(seen) == sorted(weights.values()), size
         if size in PER_BAG_RECORDS:
             assert len(nm.active_tape()) < PER_BAG_RECORDS[size][variant], size
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tape_records_per_loss_do_not_grow_with_the_batch(variant):
+    config = tiny(variant, dropout_p=0.5)
+    params = SegParams(config, VOCAB)
+    counts = {}
+    for size in (1, 3, 16, 32):
+        for name, batch in (("singletons", [one_bag(1, seed=k) for k in range(size)]),
+                            ("mixed", mixed_bags(size, config.num_relations, seed=size))):
+            clear_tape()
+            loss(batch, params, config, train_mode=True, rng=np.random.default_rng(0))
+            counts[(size, name)] = len(nm.active_tape())
+    assert len(set(counts.values())) == 1, counts
+    assert counts[(16, "mixed")] <= 64
+
+
+def mixed_bags(count, num_relations, seed):
+    """Bags of 1-5 sentences of 1-14 tokens: neighbouring sentences differ
+    in length by more than the kernel width."""
+    rng = np.random.default_rng([seed, 41])
+    bags = []
+    for k in range(count):
+        sents = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 15))
+            head, tail = (int(p) for p in rng.integers(0, n, size=2))
+            toks = tuple(int(t) for t in rng.integers(0, VOCAB, size=n))
+            sents.append(SentenceExample(toks, head, tail, head_id=0, tail_id=1))
+        bags.append(Bag(tuple(sents), k % num_relations))
+    return bags
+
+
+@pytest.mark.parametrize("variant", ["seg", "seg_wo_all", "seg_stack"])
+def test_packed_sentence_encoding_ignores_its_neighbours_tokens(variant):
+    config = tiny(variant)
+    params = SegParams(config, VOCAB)
+    bags = mixed_bags(6, config.num_relations, seed=9)
+    pack = pack_bags(bags)
+    feats, summaries = seg.model._encode(pack, params, config)
+    keep = int(np.argmax(pack.lengths))  # the longest sentence keeps its tokens
+    lo, hi = pack.starts[keep], pack.starts[keep] + pack.lengths[keep]
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        tokens = rng.integers(0, VOCAB, size=pack.tokens.size)
+        tokens[lo:hi] = pack.tokens[lo:hi]
+        other = seg.model._encode(replace(pack, tokens=tokens), params, config)
+        assert np.array_equal(other[0].data[:, keep], feats.data[:, keep])
+        if summaries is not None:
+            assert np.array_equal(other[1].data[:, keep], summaries.data[:, keep])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chunked_predictions_match_one_bag_forwards(variant, monkeypatch):
+    config = tiny(variant)
+    params = SegParams(config, VOCAB)
+    for name, t in params.registry:
+        t.data[...] = _rng_for(6, "chunks." + name).uniform(-1.0, 1.0, size=t.shape)
+    bags = mixed_bags(14, config.num_relations, seed=3)
+    ds = Dataset(bags=bags, relation_names=[str(i) for i in range(config.num_relations)],
+                 word_vocab={}, entity_vocab={})
+    want = [forward_bag(bag, params, config) for bag in bags]
+    for budget in (1, 20, 60, 10_000):
+        monkeypatch.setattr(seg.model, "_EVAL_COLUMNS", budget)
+        for got, one in zip(predict_dataset(ds, params, config), want, strict=True):
+            assert np.allclose(got.probs, one.probs, rtol=1e-12, atol=0.0), budget
+            assert np.allclose(got.confidence, one.confidence, rtol=1e-12, atol=0.0), budget
+            assert got.predicted == one.predicted
 
 
 # -- helpers ----------------------------------------------------------------

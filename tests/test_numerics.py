@@ -242,6 +242,128 @@ def test_segment_pool_fd():
     fd_check(lambda: nm.sum_all(nm.mul(nm.segment_max_pool(h, (2, 5)), w)), [("h", h)])
 
 
+# -- packed runs of columns ---------------------------------------------------
+
+
+def random_runs(rng, count, lo=1, hi=9):
+    return [int(n) for n in rng.integers(lo, hi, size=count)]
+
+
+def test_packed_conv1d_equals_per_run_convolutions():
+    rng = np.random.default_rng(100)
+    for _ in range(100):
+        lens = random_runs(rng, int(rng.integers(1, 6)))
+        d_in, d_out = (int(v) for v in rng.integers(1, 4, size=2))
+        m = int(rng.choice([1, 3, 5]))
+        x = rng.standard_normal((d_in, sum(lens)))
+        k, b = Tensor(rng.standard_normal((d_out, m, d_in))), Tensor(rng.standard_normal(d_out))
+        got = nm.conv1d(Tensor(x), k, b, lens).data
+        lo = 0
+        for n in lens:
+            want = nm.conv1d(Tensor(x[:, lo:lo + n]), k, b).data
+            assert np.allclose(got[:, lo:lo + n], want, rtol=1e-13, atol=1e-13)
+            lo += n
+
+
+def test_packed_conv_and_pool_do_not_bleed_across_runs():
+    # A run's conv and pool outputs are bit-identical whatever its
+    # neighbours hold, including runs shorter than the kernel.
+    rng = np.random.default_rng(101)
+    lens, bounds = [2, 9, 1, 6], [(0, 1), (3, 6), (0, 0), (1, 4)]
+    k, b = Tensor(rng.standard_normal((4, 5, 3))), Tensor(rng.standard_normal(4))
+    x = rng.standard_normal((3, sum(lens)))
+
+    def outputs(x):
+        conv = nm.conv1d(Tensor(x), k, b, lens)
+        return conv.data, nm.segment_max_pool(conv, bounds, lens).data
+
+    conv, pool = outputs(x)
+    for _ in range(5):
+        other = rng.standard_normal(x.shape) * 100.0
+        other[:, 2:11] = x[:, 2:11]  # keep run 1, replace its neighbours
+        conv2, pool2 = outputs(other)
+        assert np.array_equal(conv2[:, 2:11], conv[:, 2:11])
+        assert np.array_equal(pool2[:, 3:6], pool[:, 3:6])
+
+
+def test_packed_conv1d_fd():
+    x, k, b = rand((2, 9), 102), rand((3, 3, 2), 103), rand((3,), 104)
+    fd_check(lambda: nm.sum_all(nm.tanh(nm.conv1d(x, k, b, [4, 1, 4]))),
+             [("x", x), ("k", k), ("b", b)])
+
+
+def pool_oracle(h, bounds, lens):
+    """Per-span numpy max; an empty span is zero."""
+    out, lo = [], 0
+    for (p1, p2), n in zip(bounds, lens):
+        for a, z in ((0, p1 + 1), (p1 + 1, p2 + 1), (p2 + 1, n)):
+            out.append(h[:, lo + a:lo + z].max(axis=1) if z > a else np.zeros(h.shape[0]))
+        lo += n
+    return np.stack(out, axis=1)
+
+
+def test_packed_pool_matches_per_span_oracle_with_ties_and_empty_segments():
+    rng = np.random.default_rng(105)
+    for trial in range(300):
+        lens = random_runs(rng, int(rng.integers(1, 6)))
+        bounds = [tuple(sorted(int(p) for p in rng.integers(0, n, size=2))) for n in lens]
+        h = rng.standard_normal((int(rng.integers(1, 5)), sum(lens)))
+        if trial % 2:
+            h = np.round(h)  # integer grid forces ties
+        ht = Tensor(h, requires_grad=True)
+        out = nm.segment_max_pool(ht, bounds, lens)
+        assert np.array_equal(out.data, pool_oracle(h, bounds, lens))
+        clear_tape()
+        ht.grad = None
+        backward(nm.sum_all(nm.segment_max_pool(ht, bounds, lens)))
+        # Each non-empty segment routes one unit per row to its first maximum.
+        want, lo = np.zeros_like(h), 0
+        for (p1, p2), n in zip(bounds, lens):
+            for a, z in ((0, p1 + 1), (p1 + 1, p2 + 1), (p2 + 1, n)):
+                if z > a:
+                    rows = np.arange(h.shape[0])
+                    want[rows, lo + a + h[:, lo + a:lo + z].argmax(axis=1)] += 1.0
+            lo += n
+        assert np.array_equal(ht.grad, want)
+
+
+def test_segment_softmax_values_and_fd():
+    x, w = rand((3, 8), 106), rand((3, 8), 107)
+    lens = [3, 1, 4]
+    out = nm.segment_softmax(x, lens).data
+    lo = 0
+    for n in lens:
+        e = np.exp(x.data[:, lo:lo + n] - x.data[:, lo:lo + n].max(axis=1, keepdims=True))
+        assert np.allclose(out[:, lo:lo + n], e / e.sum(axis=1, keepdims=True), atol=1e-15)
+        lo += n
+    clear_tape()
+    fd_check(lambda: nm.sum_all(nm.mul(nm.segment_softmax(x, lens), w)), [("x", x)])
+
+
+def test_segment_sum_values_and_fd():
+    x, w = rand((2, 7), 108), rand((2, 3), 109)
+    lens = [2, 4, 1]
+    want = np.stack([x.data[:, :2].sum(axis=1), x.data[:, 2:6].sum(axis=1), x.data[:, 6]],
+                    axis=1)
+    assert np.allclose(nm.segment_sum(x, lens).data, want, atol=1e-15)
+    clear_tape()
+    fd_check(lambda: nm.sum_all(nm.tanh(nm.mul(nm.segment_sum(x, lens), w))), [("x", x)])
+
+
+def test_run_lengths_must_cover_the_columns():
+    for lens in ([2, 2], [5, 0], []):
+        with pytest.raises(ShapeError, match="run lengths"):
+            nm.segment_sum(rand((2, 5), 110), lens)
+    with pytest.raises(ShapeError, match="2-d"):
+        nm.segment_softmax(rand((5,), 111), [5])
+
+
+def test_row_broadcast_fd():
+    m, r = rand((3, 4), 111), rand((1, 4), 112)
+    assert np.array_equal(nm.mul(r, m).data, r.data * m.data)
+    fd_check(lambda: nm.sum_all(nm.sigmoid(nm.mul(r, m))), [("m", m), ("r", r)])
+
+
 # -- lookup / shaping ops ----------------------------------------------------
 
 
@@ -338,6 +460,16 @@ def test_select_and_sum_fd():
     fd_check(build, [("m", m)])
 
 
+def test_lookup_of_id_pairs_stacks_row_blocks_fd():
+    table, w = rand((6, 3), 113), rand((6, 4), 114)
+    ids = np.array([[4, 1], [0, 0], [5, 4], [4, 2]])
+    out = nm.embedding_lookup(table, ids)
+    assert np.array_equal(out.data[:3], table.data[ids[:, 0]].T)
+    assert np.array_equal(out.data[3:], table.data[ids[:, 1]].T)
+    clear_tape()
+    fd_check(lambda: nm.sum_all(nm.mul(nm.embedding_lookup(table, ids), w)), [("table", table)])
+
+
 def test_repeated_id_lookup_tiles_a_row_fd():
     # The entity view tiles each surface vector as one lookup of a repeated id.
     table, w = rand((6, 3), 81), rand((3, 5), 82)
@@ -345,42 +477,6 @@ def test_repeated_id_lookup_tiles_a_row_fd():
                           np.tile(table.data[4][:, None], (1, 5)))
     fd_check(lambda: nm.sum_all(nm.mul(nm.embedding_lookup(table, [4, 1, 4, 4, 1]), w)),
              [("table", table)])
-
-
-def test_split_cols_values_and_fd():
-    x = rand((3, 4), 84)
-    w = rand((3,), 85)
-    cols = nm.split_cols(x)
-    assert [c.shape for c in cols] == [(3,)] * 4
-    for j, c in enumerate(cols):
-        assert np.array_equal(c.data, x.data[:, j])
-
-    def build():
-        parts = [nm.sum_all(nm.tanh(nm.mul(c, w))) for c in nm.split_cols(x)]
-        return nm.add(nm.add(parts[0], parts[2]), nm.scale(parts[3], 2.0))
-
-    fd_check(build, [("x", x), ("w", w)])
-
-
-def test_split_cols_pulls_add_into_one_buffer():
-    x = rand((3, 4), 86)
-    nm.split_cols(x)
-    records = nm.active_tape().records
-    assert len(records) == 5
-    rows = records[0].output
-    records[3].pull(np.full(3, 3.0))
-    buf = rows.grad
-    assert buf.shape == (4, 3)
-    for j in (0, 3, 1):
-        records[j + 1].pull(np.full(3, j + 1.0))
-        assert rows.grad is buf
-    records[0].pull(buf)
-    assert np.array_equal(x.grad, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
-
-
-def test_split_cols_rejects_a_vector():
-    with pytest.raises(ShapeError, match="2-d"):
-        nm.split_cols(rand((3,), 87))
 
 
 def nll_oracle(logits, labels):
