@@ -123,8 +123,10 @@ def selective_attention_aggregate(vectors, relation, params: SelectiveAttnParams
         return [Tensor(v @ w.T) for v, w in zip(np.split(vectors.data, cuts, axis=1),
                                                 np.split(weights, cuts, axis=1))]
     if sizes is not None:
-        ids = np.repeat(np.asarray(relation, dtype=np.intp), sizes)
-        targets = nm.matmul(params.bilinear, nm.embedding_lookup(params.queries, ids))
+        # One target bilinear @ q_r per bag, then repeated for each of its sentences.
+        targets = nm.matmul(params.bilinear, nm.embedding_lookup(params.queries, relation))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        targets = nm.embedding_lookup(nm.transpose(targets), owner)
         scores = nm.sum_over_axis(nm.mul(vectors, targets), 0)
         weights = nm.segment_softmax(nm.reshape(scores, (1, scores.size)), sizes)
         return nm.segment_sum(nm.mul(weights, vectors), sizes)

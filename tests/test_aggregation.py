@@ -244,7 +244,9 @@ def test_gated_vectors_forms():
         assert np.array_equal(full.data[:, j], g.data * s.data)
     scalar = gated_vectors(packed(ss), packed(gs), scalar_gate=True)
     for j, (g, s) in enumerate(zip(gs, ss)):
-        assert np.allclose(scalar.data[:, j], np.mean(g.data) * s.data, rtol=1e-15)
+        assert np.array_equal(scalar.data[:, j], np.sum(g.data) * (1.0 / g.size) * s.data)
+    with pytest.raises(ShapeError, match="2 vectors but 1 gates"):
+        gate_aggregate(ss, gs[:1])
     with pytest.raises(ShapeError, match="does not match"):
         gated_vectors(packed(ss), packed([Tensor(np.ones(2))] * 2))
 

@@ -6,14 +6,14 @@ Run from the root of a checkout:
     python3 tools/bench_pairs.py --topic packed_batch --change-note "what changed"
 
 The parent commit (``--parent``, default HEAD) is unpacked into a temporary
-directory with ``git archive``. The change is the working tree, or the commit
-named by ``--change``, unpacked the same way. For each workload declared in
-BENCHMARK.json, each pair runs ``perfbench/run.py --trace 0`` once per side
-on the same seed, back to back, the parent first on every other pair. The
-result is ``BENCH_<topic>.json``: per side and metric the median and
-quartiles over the runs, the pairs the change wins, the seeds, the failed
-operations and the machine note that perfbench prints, plus the tape records
-one ``loss()`` makes per variant at a few batch sizes.
+directory with ``git archive``; the change is the working tree. For each
+workload declared in BENCHMARK.json, each of 10 pairs runs ``perfbench/run.py
+--trace 0`` for the benchmark's declared run length once per side on the same
+seed, back to back, the parent first on every other pair. The result is
+``BENCH_<topic>.json``: per side and metric the median and quartiles over the
+runs, the pairs the change wins, the seeds, the failed operations and the
+machine note that perfbench prints, plus the tape records one ``loss()``
+makes per variant at batch sizes 1, 16 and 32.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+RECORD_SIZES = [1, 16, 32]
 
 # Counts the tape records of one train-mode loss() per variant and batch size
 # on a small_pair_v256-shaped corpus, in the tree whose root is argv[1].
@@ -133,33 +135,23 @@ def main(argv=None) -> int:
     ap.add_argument("--topic", required=True, help="names the output, BENCH_<topic>.json")
     ap.add_argument("--change-note", required=True, help="one line on what the change does")
     ap.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
-    ap.add_argument("--change", default=None,
-                    help="the change's commit (default: the working tree)")
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (repeatable; default: every declared one)")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=11)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--record-sizes", default="1,16,32",
-                    help="batch sizes for the tape-record count (comma separated)")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seconds = bench["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         tmp = Path(tmp)
-        trees = {"parent": unpack(args.parent, tmp / "parent"),
-                 "change": unpack(args.change, tmp / "change") if args.change else ROOT}
+        trees = {"parent": unpack(args.parent, tmp / "parent"), "change": ROOT}
         report = {
             "topic": args.topic,
             "change": args.change_note,
             "parent_commit": git("rev-parse", "--short", args.parent),
-            "change_commit": (git("rev-parse", "--short", args.change) if args.change
-                              else git("describe", "--always", "--dirty")),
+            "change_commit": git("describe", "--always", "--dirty"),
             "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                       f"--seconds {args.seconds:g} --trace 0",
-            "method": f"{args.pairs} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, each pair "
+                       f"--seconds {seconds:g} --trace 0",
+            "method": f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, each pair "
                       "run back to back on one seed with the order alternating (parent first "
                       f"on seed {seeds[0]}, then every other seed). Medians and quartiles "
                       "(inclusive method) are over each side's runs; change_wins_pairs counts "
@@ -167,24 +159,22 @@ def main(argv=None) -> int:
             "machine": None,
             "workloads": {},
         }
-        for w in workloads:
+        for w in (w["name"] for w in bench["workloads"]):
             runs = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    result, machine = bench_once(trees[side], w, seed, args.seconds)
+                    result, machine = bench_once(trees[side], w, seed, seconds)
                     runs[side].append(result)
                     report["machine"] = report["machine"] or machine
                     print(f"{w} seed {seed} {side}: " + ", ".join(
                         f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
                         if k.startswith(("bags_per_s", "setup_s", "peak_rss"))), flush=True)
             report["workloads"][w] = summarize(runs, bench["end_to_end"], seeds)
-        sizes = [int(x) for x in args.record_sizes.split(",")]
-        report["tape_records_per_loss"] = tape_records(trees, sizes, tmp)
+        report["tape_records_per_loss"] = tape_records(trees, RECORD_SIZES, tmp)
     out = ROOT / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
