@@ -227,7 +227,8 @@ def cmd_train(args) -> int:
     if args.resume:
         resume_params, model_config, manifest = load_checkpoint(args.resume)
         model_flags = [f"--{dest.replace('_', '-')}"
-                       for dest in ("model_config", *_flag_fields(ModelConfig))
+                       for dest in ("model_config", "pretrained_embeddings",
+                                    *_flag_fields(ModelConfig))
                        if getattr(args, dest) is not None]
         if model_flags:
             raise ValidationError("--resume continues the checkpoint's model; drop "
@@ -266,7 +267,7 @@ def cmd_train(args) -> int:
         },
     })
 
-    if args.pretrained_embeddings and not args.resume:
+    if args.pretrained_embeddings:
         resume_params = SegParams(model_config, len(train_ds.word_vocab))
         vectors, found = load_pretrained_words(
             args.pretrained_embeddings, train_ds.word_vocab, model_config.word_dim
@@ -425,7 +426,7 @@ def build_parser() -> _Parser:
                    help="continue from a checkpoint; model config comes from it")
     p.add_argument("--pretrained-embeddings", metavar="TXT",
                    help="text file of word vectors to overwrite matching rows "
-                        "of the initial word table (ignored with --resume)")
+                        "of the initial word table (not with --resume)")
     _add_corpus_flags(p)
     _add_config_flags(p, ModelConfig)
     _add_config_flags(p, TrainConfig)

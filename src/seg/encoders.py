@@ -29,8 +29,7 @@ class PcnnParams:
 class SelfAttnParams:
     w_hidden: Tensor  # (d, d)
     b_hidden: Tensor  # (d,)
-    w_score: Tensor   # (d, d)
-    b_score: Tensor   # (d,)
+    w_score: Tensor   # (d, d); no bias: the softmax along columns cancels a per-row constant
 
 
 def pcnn_encode(x: Tensor, entities, lengths, params: PcnnParams) -> Tensor:
@@ -51,7 +50,7 @@ def attention_weights(x: Tensor, params: SelfAttnParams, lengths=None) -> Tensor
     """Per-row attention over each sentence's columns; with ``lengths`` None,
     x is one sentence. Every row sums to 1 across each sentence."""
     hidden = nm.relu(nm.add(nm.matmul(params.w_hidden, x), params.b_hidden))
-    scores = nm.add(nm.matmul(params.w_score, hidden), params.b_score)
+    scores = nm.matmul(params.w_score, hidden)
     if lengths is None:
         return nm.softmax_over_axis(scores, 1)
     return nm.segment_softmax(scores, lengths)

@@ -18,7 +18,7 @@ variant wires:
   seg_stack            attention reweights columns before the convolution
 
 Parameters live in a flat registry (name, tensor) in a fixed order; the
-optimizer, the L2 term, and the checkpoint format all walk that registry.
+optimizer, the L2 penalty, and the checkpoint format all walk that registry.
 Each tensor takes its values from one init source: an ``init(name, shape)``
 callback asked in registry order (a checkpoint load, the gradcheck point),
 or else its own stream derived from the model seed and its registry name,
@@ -222,7 +222,6 @@ class SegParams:
                 w_hidden=weight("self_attn.w_hidden", (d_in, d_in)),
                 b_hidden=bias("self_attn.b_hidden", (d_in,)),
                 w_score=weight("self_attn.w_score", (d_in, d_in)),
-                b_score=bias("self_attn.b_score", (d_in,)),
             )
         self.gate = None
         if config.wiring.gate:
@@ -351,13 +350,17 @@ def forward_bag(bag: Bag, params: SegParams, config: ModelConfig) -> BagPredicti
     return _predict_chunk([bag], params, config)[0]
 
 
-def l2_penalty(params: SegParams) -> Tensor:
-    return nm.sum_of_squares(params.tensors())
+def l2_penalty(params: SegParams) -> float:
+    """Sum of squared entries over every registry tensor, without the
+    coefficient. A plain number, not a tape record: training adds l2_coef
+    times it to the loss it records, and applies its gradient as a decay."""
+    with nm.no_grad():
+        return nm.sum_of_squares(params.tensors()).item()
 
 
 def loss(batch, params: SegParams, config: ModelConfig,
          train_mode: bool = True, rng=None) -> Tensor:
-    """Mean negative log-likelihood of gold labels plus the L2 penalty.
+    """Mean negative log-likelihood of the gold labels, without the L2 term.
 
     The batch is packed: all its sentences' token columns form one matrix,
     so each layer is one tape record per batch, whatever the bag sizes.
@@ -367,8 +370,8 @@ def loss(batch, params: SegParams, config: ModelConfig,
     the classifier and the NLL run over all bags at once. The dropout mask
     takes the draws of each bag vector dropped out in bag order. The gold
     probability is floored at 1e-12 so the loss stays finite for any finite
-    parameters. The L2 term covers every registry tensor and is not scaled
-    by the batch size.
+    parameters. The L2 term (``l2_penalty``) stays off the tape: training
+    adds it to the loss it records and folds its gradient into the update.
     """
     if not batch:
         raise ValidationError("loss needs a non-empty batch")
@@ -383,17 +386,15 @@ def loss(batch, params: SegParams, config: ModelConfig,
         if rng is None:
             raise ValidationError("training forward with dropout needs a random generator")
         c = nm.dropout(c, config.dropout_p, rng)
-    out = nm.nll_columns(_classify(c, params), labels)
-    if config.l2_coef > 0.0:
-        out = nm.add(out, nm.scale(l2_penalty(params), config.l2_coef))
-    return out
+    return nm.nll_columns(_classify(c, params), labels)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints: a JSON manifest next to a flat binary of the registry.
 # ---------------------------------------------------------------------------
 
-_CKPT_FORMAT = "seg-checkpoint-v2"
+# v3 dropped self_attn.b_score from the registry.
+_CKPT_FORMAT = "seg-checkpoint-v3"
 
 
 def _ckpt_paths(path) -> tuple[Path, Path]:
@@ -557,7 +558,8 @@ def tiny_bags(num_relations: int, vocab_size: int, seed: int = 7) -> list[Bag]:
 
 def run_gradcheck(variant: str, eps: float = 1e-5, tol: float = 1e-4,
                   seed: int = 2) -> nm.GradCheckReport:
-    """Finite-difference check of the full training objective for a variant.
+    """Finite-difference check of the full training objective for a variant:
+    the loss plus l2_coef times the sum of squares, here on the tape.
 
     TINY_CONFIG keeps dropout off: the objective must be a deterministic
     function of the parameters for finite differences to mean anything.
@@ -571,6 +573,7 @@ def run_gradcheck(variant: str, eps: float = 1e-5, tol: float = 1e-4,
         seed, "gradcheck." + name).uniform(-0.5, 0.5, size=shape))
 
     def objective():
-        return loss(bags, params, config, train_mode=False)
+        return nm.add(loss(bags, params, config, train_mode=False),
+                      nm.scale(nm.sum_of_squares(params.tensors()), config.l2_coef))
 
     return nm.grad_check(objective, params.registry, eps=eps, tol=tol)

@@ -29,14 +29,20 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A dense float64 array, optionally tracked for gradients."""
+    """A dense float64 array, optionally tracked for gradients.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    ``rows`` is set while every contribution to ``grad`` came from
+    ``embedding_lookup``: it holds the looked-up ids (with repeats), and
+    ``grad`` is zero outside those rows. Any other contribution clears it.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "rows")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        self.rows: Array | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -107,13 +113,17 @@ class no_grad:
         return False
 
 
-def _accum(t: Tensor, g: Array) -> None:
+def _accum(t: Tensor, g: Array, own: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. ``own`` says the pull built ``g`` fresh and
+    holds no other reference to it, so a first contribution may keep it."""
     if not t.requires_grad:
         return
+    t.rows = None
     if t.grad is None and np.shape(g) == t.shape:
-        # A copy, never an alias: one pull may hand the same array to two
-        # operands, and later contributions add into this buffer in place.
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        # Unless owned, a copy, never an alias: one pull may hand the same
+        # array to two operands, and later contributions add into this buffer in place.
+        t.grad = (np.asarray(g, dtype=np.float64, order="C") if own
+                  else np.array(g, dtype=np.float64, order="C"))
     elif t.grad is None:
         t.grad = np.zeros_like(t.data)
         t.grad += g
@@ -134,6 +144,7 @@ def zero_grads(params: Iterable) -> None:
     for p in params:
         t = p[1] if isinstance(p, tuple) else p
         t.grad = None
+        t.rows = None
 
 
 def backward(loss: Tensor) -> None:
@@ -205,8 +216,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = va * vb
 
     def pull(g: Array) -> None:
-        _accum(a, _reduce_to(g * vb, a.shape))
-        _accum(b, _reduce_to(g * va, b.shape))
+        _accum(a, _reduce_to(g * vb, a.shape), own=True)
+        _accum(b, _reduce_to(g * va, b.shape), own=True)
 
     return _result(out, (a, b), pull)
 
@@ -215,7 +226,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def pull(g: Array) -> None:
-        _accum(x, g * c)
+        _accum(x, g * c, own=True)
 
     return _result(x.data * c, (x,), pull)
 
@@ -234,7 +245,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-z))
 
     def pull(g: Array) -> None:
-        _accum(x, g * out * (1.0 - out))
+        _accum(x, g * out * (1.0 - out), own=True)
 
     return _result(out, (x,), pull)
 
@@ -243,7 +254,7 @@ def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
     def pull(g: Array) -> None:
-        _accum(x, g * (1.0 - out * out))
+        _accum(x, g * (1.0 - out * out), own=True)
 
     return _result(out, (x,), pull)
 
@@ -253,7 +264,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
 
     def pull(g: Array) -> None:
-        _accum(x, g * mask)
+        _accum(x, g * mask, own=True)
 
     return _result(out, (x,), pull)
 
@@ -274,7 +285,7 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
             out = np.log(x.data)  # non-finite results surface downstream
 
     def pull(g: Array) -> None:
-        _accum(x, g * active / np.where(active, x.data, 1.0))
+        _accum(x, g * active / np.where(active, x.data, 1.0), own=True)
 
     return _result(out, (x,), pull)
 
@@ -296,12 +307,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     if b.ndim == 1:
         def pull(g: Array) -> None:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
+            _accum(a, np.outer(g, b.data), own=True)
+            _accum(b, a.data.T @ g, own=True)
     else:
         def pull(g: Array) -> None:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+            _accum(a, g @ b.data.T, own=True)
+            _accum(b, a.data.T @ g, own=True)
 
     return _result(out, (a, b), pull)
 
@@ -357,9 +368,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> Tensor:
     out = k2 @ im2col() + bias.data[:, None]
 
     def pull(g: Array) -> None:
-        _accum(bias, g.sum(axis=1))
+        _accum(bias, g.sum(axis=1), own=True)
         if kernel.requires_grad:  # the columns are rebuilt, not kept on the tape
-            _accum(kernel, (g @ im2col().T).reshape(d_out, m, d_in))
+            _accum(kernel, (g @ im2col().T).reshape(d_out, m, d_in), own=True)
         if x.requires_grad:
             gcols = (k2.T @ g).reshape(m, d_in, n)
             gpad = np.zeros((d_in, n + 2 * pad))
@@ -383,7 +394,7 @@ def softmax_over_axis(x: Tensor, axis: int) -> Tensor:
 
     def pull(g: Array) -> None:
         dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(x, out * (g - dot))
+        _accum(x, out * (g - dot), own=True)
 
     return _result(out, (x,), pull)
 
@@ -397,7 +408,7 @@ def segment_softmax(x: Tensor, lengths) -> Tensor:
 
     def pull(g: Array) -> None:
         dot = np.add.reduceat(g * out, starts, axis=1)
-        _accum(x, out * (g - np.repeat(dot, lens, axis=1)))
+        _accum(x, out * (g - np.repeat(dot, lens, axis=1)), own=True)
 
     return _result(out, (x,), pull)
 
@@ -407,7 +418,7 @@ def segment_sum(x: Tensor, lengths) -> Tensor:
     lens, starts = _runs(x, lengths, "segment_sum")
 
     def pull(g: Array) -> None:
-        _accum(x, np.repeat(g, lens, axis=1))
+        _accum(x, np.repeat(g, lens, axis=1), own=True)
 
     return _result(np.add.reduceat(x.data, starts, axis=1), (x,), pull)
 
@@ -442,7 +453,7 @@ def segment_max_pool(h: Tensor, boundaries, lengths=None) -> Tensor:
         picks = np.minimum.reduceat(np.where(at_max, np.arange(n), n), lo[full], axis=1)
         gx = np.zeros_like(h.data)
         gx[np.arange(d)[:, None], picks] = g[:, full]
-        _accum(h, gx)
+        _accum(h, gx, own=True)
 
     return _result(out, (h,), pull)
 
@@ -468,7 +479,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     def pull(g: Array) -> None:
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                # np.zeros (calloc) skips writing memory that comes zeroed from the
+                # kernel, where zeros_like writes every entry.
+                table.grad = np.zeros(table.shape)
+                table.rows = idx.reshape(-1)
+            elif table.rows is not None:
+                table.rows = np.concatenate([table.rows, idx.reshape(-1)])
             np.add.at(table.grad, idx, g.T.reshape(picked.shape))
 
     return _result(out, (table,), pull)
@@ -545,10 +561,7 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
     def pull(g: Array) -> None:
         c = 2.0 * float(g)
         for t in tensors:
-            if t.requires_grad and t.grad is None:
-                t.grad = c * t.data  # already a fresh buffer; _accum would copy it
-            elif t.requires_grad:
-                t.grad += c * t.data
+            _accum(t, c * t.data, own=True)
 
     return _result(out, tuple(tensors), pull)
 
@@ -574,7 +587,7 @@ def nll_columns(logits: Tensor, labels: Sequence[int], floor: float = 1e-12) -> 
     def pull(g: Array) -> None:
         gx = p.copy()
         gx[idx, cols] -= 1.0
-        _accum(logits, gx * (active * (float(g) / idx.size)))
+        _accum(logits, gx * (active * (float(g) / idx.size)), own=True)
 
     return _result(out, (logits,), pull)
 
@@ -590,7 +603,7 @@ def select_index(v: Tensor, i: int) -> Tensor:
     def pull(g: Array) -> None:
         gv = np.zeros_like(v.data)
         gv[i] = g
-        _accum(v, gv)
+        _accum(v, gv, own=True)
 
     return _result(out, (v,), pull)
 
@@ -606,6 +619,7 @@ def select_row(m: Tensor, i: int) -> Tensor:
     def pull(g: Array) -> None:
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
+        m.rows = None
         m.grad[i] += g
 
     return _result(out, (m,), pull)
@@ -623,7 +637,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     out = x.data * mask
 
     def pull(g: Array) -> None:
-        _accum(x, g * mask)
+        _accum(x, g * mask, own=True)
 
     return _result(out, (x,), pull)
 

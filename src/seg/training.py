@@ -1,4 +1,4 @@
-"""Plain SGD training with step-decayed learning rate.
+"""Plain SGD training with step-decayed learning rate and L2 as weight decay.
 
 Every source of randomness is derived from two seeds: the data seed (bag
 shuffling) and the model seed (initialization and dropout). Shuffling is a
@@ -21,7 +21,7 @@ from . import numerics as nm
 from .data import Dataset, dataset_meta, vocab_fingerprint  # noqa: F401
 from .errors import TrainingAbort, ValidationError
 from .evaluation import accuracy, dataset_auc, predict_dataset
-from .model import ModelConfig, SegParams, loss, save_checkpoint
+from .model import ModelConfig, SegParams, l2_penalty, loss, save_checkpoint
 
 _SHUFFLE_STREAM = 11
 _DROPOUT_STREAM = 23
@@ -68,17 +68,52 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, _SHUFFLE_STREAM, epoch]).permutation(n)
 
 
-def _clip_gradients(params: SegParams, max_norm: float) -> None:
+def _clip_factor(params: SegParams, max_norm: float, l2_coef: float) -> float:
+    """The factor that scales the full gradient g + 2·l2·w, L2 term included,
+    to norm max_norm; 1 when it is already within."""
     total = 0.0
     for _, t in params.registry:
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
+        full = 2.0 * l2_coef * t.data if t.grad is None else t.grad + 2.0 * l2_coef * t.data
+        total += float((full * full).sum())
     norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for _, t in params.registry:
-            if t.grad is not None:
-                t.grad *= factor
+    return max_norm / norm if norm > max_norm else 1.0
+
+
+def _touched_rows(t: nm.Tensor):
+    """The rows a table's step must update, or None to update it densely.
+
+    A table whose gradient came only from lookups is zero outside the
+    looked-up rows. A fancy-index update costs several times a dense one
+    per row, so the rows pay only when they are few against the table's.
+    Measured (one core, d=50 at 80k rows, d=12 below): 80k rows with 10k
+    ids, 2.0 ms against 6.3 ms dense; 2k rows with 250 ids, 18 µs against
+    12 µs; 258 rows with 32 ids, 5.7 µs against 2.4 µs. At one id in
+    eight the large tables win and the small ones lose little.
+    """
+    if t.rows is not None and 8 * t.rows.size <= t.shape[0]:
+        return t.rows
+    return None
+
+
+def _sgd_step(params: SegParams, lr: float, l2_coef: float, factor: float) -> None:
+    """w <- w - lr·factor·(g + 2·l2·w), as a decay pass and a gradient step.
+
+    The decay touches every tensor once, in place; a table whose gradient
+    came only from few lookups then steps only its looked-up rows. A
+    repeated id writes the same value each time.
+    """
+    step = lr * factor
+    decay = 1.0 - 2.0 * l2_coef * step
+    for _, t in params.registry:
+        if l2_coef > 0.0:
+            t.data *= decay
+        if t.grad is None:
+            continue
+        rows = _touched_rows(t)
+        if rows is None:
+            t.data -= step * t.grad
+        else:
+            t.data[rows] -= step * t.grad[rows]
 
 
 def train(
@@ -92,8 +127,12 @@ def train(
     """Run SGD from start_step to max_steps; returns (params, history).
 
     History holds one row per step: step, loss, lr, and at eval points the
-    training accuracy and (when eval_ds is given) the test AUC. A non-finite
-    loss aborts immediately, naming the step and the offending bag ids.
+    training accuracy and (when eval_ds is given) the test AUC. The loss is
+    the batch NLL plus l2_coef times the L2 penalty; the penalty is not on
+    the tape, and its gradient enters the update as a decay (see _sgd_step).
+    With clip_norm set, the clipped norm covers the L2 gradient too. A
+    non-finite loss aborts immediately, naming the step and the offending
+    bag ids.
     """
     validate_train_config(train_config)
     if not ds.bags:
@@ -105,6 +144,7 @@ def train(
     if params is None:
         params = SegParams(model_config, len(ds.word_vocab))
     registry_size = len(params.registry)
+    l2_coef = model_config.l2_coef
 
     n = len(ds.bags)
     steps_per_epoch = math.ceil(n / train_config.batch_size)
@@ -127,18 +167,18 @@ def train(
         rng = np.random.default_rng([model_config.seed, _DROPOUT_STREAM, step])
         objective = loss(batch, params, model_config, train_mode=True, rng=rng)
         value = objective.item()
+        if l2_coef > 0.0:
+            value += l2_coef * l2_penalty(params)
         if not math.isfinite(value):
             nm.clear_tape()
             raise TrainingAbort(
                 f"non-finite loss {value} at step {step} (bag ids {[int(i) for i in idxs]})"
             )
         nm.backward(objective)
-        if train_config.clip_norm is not None:
-            _clip_gradients(params, train_config.clip_norm)
+        factor = (1.0 if train_config.clip_norm is None
+                  else _clip_factor(params, train_config.clip_norm, l2_coef))
         lr = lr_at(step, train_config)
-        for _, t in params.registry:
-            if t.grad is not None:
-                t.data -= lr * t.grad
+        _sgd_step(params, lr, l2_coef, factor)
         nm.clear_tape()
 
         row = {"step": step, "loss": value, "lr": lr, "train_acc": None, "eval_auc": None}

@@ -137,13 +137,12 @@ def test_criterion_2_oracle_equivalence():
         d, n = int(rng.integers(2, 7)), int(rng.integers(1, 9))
         x = rng.standard_normal((d, n))
         wh, bh = rng.standard_normal((d, d)), rng.standard_normal(d)
-        ws, bs = rng.standard_normal((d, d)), rng.standard_normal(d)
+        ws = rng.standard_normal((d, d))
         with no_grad():
             got = self_attn_encode(
-                Tensor(x), SelfAttnParams(Tensor(wh), Tensor(bh),
-                                          Tensor(ws), Tensor(bs))).data
+                Tensor(x), SelfAttnParams(Tensor(wh), Tensor(bh), Tensor(ws))).data
         hidden = np.maximum(wh @ x + bh[:, None], 0.0)
-        scores = ws @ hidden + bs[:, None]
+        scores = ws @ hidden
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         w = e / e.sum(axis=1, keepdims=True)
         attn_bad += not np.array_equal(got, (w * x).sum(axis=1))

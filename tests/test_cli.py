@@ -321,6 +321,18 @@ def test_resume_with_model_flags_exits_one_naming_them(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_resume_with_pretrained_embeddings_exits_one_naming_it(tmp_path, capsys):
+    corpus = synth(tmp_path)
+    run = quick_train(tmp_path, corpus, steps="2")
+    out = tmp_path / "again"
+    rc = main(["train", "--train-data", str(corpus / "train.jsonl"), "--out-dir", str(out),
+               "--resume", str(run / "ckpt_final.json"), "--max-steps", "4",
+               "--pretrained-embeddings", str(tmp_path / "nonexistent_embeddings.txt")])
+    assert rc == 1
+    assert "drop --pretrained-embeddings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_beyond_max_steps_exits_one(tmp_path, capsys):
     corpus = synth(tmp_path)
     run = quick_train(tmp_path, corpus, steps="3")

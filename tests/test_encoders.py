@@ -36,7 +36,6 @@ def make_attn(d, seed=1):
         w_hidden=Tensor(rng.standard_normal((d, d)) * 0.4, requires_grad=True),
         b_hidden=Tensor(rng.standard_normal(d) * 0.4, requires_grad=True),
         w_score=Tensor(rng.standard_normal((d, d)) * 0.4, requires_grad=True),
-        b_score=Tensor(rng.standard_normal(d) * 0.4, requires_grad=True),
     )
 
 
@@ -121,7 +120,7 @@ def test_self_attn_matches_manual_computation():
     attn = make_attn(4, seed=12)
     out = self_attn_encode(x, attn)
     hidden = np.maximum(attn.w_hidden.data @ x.data + attn.b_hidden.data[:, None], 0.0)
-    scores = attn.w_score.data @ hidden + attn.b_score.data[:, None]
+    scores = attn.w_score.data @ hidden
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     assert np.allclose(out.data, (p * x.data).sum(axis=1), atol=1e-12)
@@ -134,7 +133,6 @@ def test_constant_scores_give_uniform_attention_and_mean():
         w_hidden=Tensor(rng.standard_normal((4, 4))),
         b_hidden=Tensor(rng.standard_normal(4)),
         w_score=Tensor(np.zeros((4, 4))),
-        b_score=Tensor(rng.standard_normal(4)),
     )
     p = attention_weights(x, attn)
     assert np.allclose(p.data, 1.0 / 6.0, atol=1e-12)
@@ -156,7 +154,6 @@ def test_stacked_uniform_attention_scales_columns():
         w_hidden=Tensor(np.zeros((4, 4))),
         b_hidden=Tensor(np.zeros(4)),
         w_score=Tensor(np.zeros((4, 4))),
-        b_score=Tensor(np.zeros(4)),
     )
     stacked = stacked_one(x, 1, 3, pcnn, attn)
     scaled = pcnn_one(Tensor(x.data / 5.0), 1, 3, pcnn)
@@ -200,7 +197,7 @@ def test_encoders_fd():
 
     params = [("x", x), ("kernel", pcnn.kernel), ("bias", pcnn.bias),
               ("w_hidden", attn.w_hidden), ("b_hidden", attn.b_hidden),
-              ("w_score", attn.w_score), ("b_score", attn.b_score)]
+              ("w_score", attn.w_score)]
     report = grad_check(build, params, eps=1e-5, tol=1e-4)
     assert report.passed, report.format()
 

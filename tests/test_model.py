@@ -310,15 +310,28 @@ def test_uniform_predictor_loss_is_log_class_count():
 
 
 def test_l2_term_adds_exact_penalty():
+    # The loss is the NLL alone; the L2 term is a plain number that the
+    # recorded training loss adds on top.
+    from seg.training import TrainConfig, train
+
     base = tiny(l2_coef=0.0)
     params = SegParams(base, VOCAB)
     batch = tiny_bags(base.num_relations, VOCAB)
-    bare = loss(batch, params, base, train_mode=False).data.copy()
+    bare = loss(batch, params, base, train_mode=False).item()
     coef = 0.01
-    full = loss(batch, params, tiny(l2_coef=coef), train_mode=False).data.copy()
+    clear_tape()
+    assert loss(batch, params, tiny(l2_coef=coef), train_mode=False).item() == bare
+    clear_tape()
     squares = sum(float((t.data ** 2).sum()) for _, t in params.registry)
-    assert abs((full - bare) - coef * squares) < 1e-9
-    assert abs(l2_penalty(params).data - squares) < 1e-9
+    assert isinstance(l2_penalty(params), float)
+    assert abs(l2_penalty(params) - squares) < 1e-9
+    assert len(nm.active_tape()) == 0
+
+    ds = Dataset(bags=batch, relation_names=[f"r{i}" for i in range(base.num_relations)],
+                 word_vocab={f"w{i}": i for i in range(VOCAB)}, entity_vocab={"a": 0, "b": 1})
+    _, history = train(ds, tiny(l2_coef=coef), TrainConfig(max_steps=1, batch_size=len(batch)),
+                       params=params)
+    assert abs(history[0]["loss"] - (bare + coef * squares)) < 1e-9
 
 
 def test_loss_rejects_empty_batch_and_bad_label():
@@ -357,7 +370,8 @@ def batch_of(size, num_relations):
 def per_bag_loss(batch, params, config, rng):
     """The per-sentence model the packed loss replaced: every sentence
     encoded on its own, the per-sentence aggregators per bag, a vector
-    dropout draw, one classifier pass and a floored NLL per bag."""
+    dropout draw, one classifier pass and a floored NLL per bag. Like the
+    loss, it leaves out the L2 term."""
     total = None
     for bag in batch:
         c = bag_vector_oracle(bag, params, config)
@@ -366,8 +380,7 @@ def per_bag_loss(batch, params, config, rng):
         ll = nm.nll_columns(nm.reshape(_classify(c, params), (config.num_relations, 1)),
                             [bag.label])
         total = ll if total is None else nm.add(total, ll)
-    out = nm.scale(total, 1.0 / len(batch))
-    return nm.add(out, nm.scale(l2_penalty(params), config.l2_coef))
+    return nm.scale(total, 1.0 / len(batch))
 
 
 def value_and_grads(objective, params):

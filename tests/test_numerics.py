@@ -405,6 +405,27 @@ def test_lookups_into_one_table_match_dense_oracle(l2_last):
     assert np.max(np.abs(table.grad - oracle)) < 1e-12
 
 
+def test_lookup_rows_collect_the_ids_of_every_lookup():
+    table = rand((9, 4), 91)
+    w = Tensor(np.random.default_rng(92).standard_normal((4, 3)))
+    looked = nm.add(nm.sum_all(nm.embedding_lookup(table, [3, 0, 3])),
+                    nm.sum_all(nm.mul(nm.embedding_lookup(table, [[8], [3], [5]]), w)))
+    backward(looked)
+    assert sorted(table.rows.tolist()) == [0, 3, 3, 3, 5, 8]
+    assert not np.delete(table.grad, table.rows, axis=0).any()
+
+
+@pytest.mark.parametrize("dense_first", [False, True])
+def test_dense_contribution_clears_lookup_rows(dense_first):
+    # Pulls run in reverse: recorded last, the dense term lands first.
+    table, w = rand((9, 4), 93), rand((9, 4), 94)
+    terms = [lambda: nm.sum_all(nm.embedding_lookup(table, [1, 7])),
+             lambda: nm.sum_all(nm.mul(table, w))]
+    first, second = (f() for f in (terms if dense_first else terms[::-1]))
+    backward(nm.add(first, second))
+    assert table.grad is not None and table.rows is None
+
+
 def test_sum_of_squares_value_and_fd():
     a, b = rand((3, 4), 87), rand((5,), 88)
     value = nm.sum_of_squares([a, b]).item()

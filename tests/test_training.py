@@ -6,12 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import seg.numerics as nm
+import seg.training
 from seg.data import SynthSpec, generate_synthetic
 from seg.errors import TrainingAbort, ValidationError
-from seg.model import TINY_CONFIG, ModelConfig, SegParams, loss
+from seg.model import TINY_CONFIG, VARIANTS, ModelConfig, SegParams, loss
 from seg.numerics import clear_tape
 from seg.training import (
     TrainConfig,
+    _epoch_permutation,
+    _touched_rows,
     lr_at,
     save_history_csv,
     train,
@@ -96,24 +100,91 @@ def test_training_reduces_loss(corpus):
     assert end < start - 0.3
 
 
-def test_single_step_applies_lr_times_gradient(corpus):
-    train_ds, _ = corpus
-    cfg = replace(QUICK, max_steps=1, batch_size=len(train_ds.bags))
-    init = SegParams(MODEL, len(train_ds.word_vocab))
-    before = registry_arrays(init)
-
-    # Recompute the same full-batch gradient independently.
+def full_batch_oracle_step(train_ds, clip_norm):
+    """A test-side dense step: w - lr·f·(g + 2·l2·w) per registry tensor,
+    with f the clip factor of the full gradient's norm, or 1."""
     probe = SegParams(MODEL, len(train_ds.word_vocab))
-    import seg.numerics as nm
-    nm.backward(loss(list(train_ds.bags), probe, MODEL, train_mode=True,
+    batch = [train_ds.bags[i] for i in _epoch_permutation(QUICK.seed, 0, len(train_ds.bags))]
+    nm.backward(loss(batch, probe, MODEL, train_mode=True,
                      rng=np.random.default_rng([MODEL.seed, 23, 0])))
-    grads = [t.grad.copy() for _, t in probe.registry]
+    full = [t.grad + 2.0 * MODEL.l2_coef * t.data for _, t in probe.registry]
     clear_tape()
+    norm = np.sqrt(sum(float((g * g).sum()) for g in full))
+    f = 1.0 if clip_norm is None or norm <= clip_norm else clip_norm / norm
+    lr = lr_at(0, QUICK)
+    return [t.data - lr * f * g for g, (_, t) in zip(full, probe.registry)], f
 
-    params, history = train(train_ds, MODEL, cfg)
-    lr = history[0]["lr"]
-    for prev, g, (_, t) in zip(before, grads, params.registry):
-        assert np.allclose(t.data, prev - lr * g, atol=1e-12)
+
+def assert_step_matches_oracle(train_ds, clip_norm):
+    want, f = full_batch_oracle_step(train_ds, clip_norm)
+    assert (f == 1.0) == (clip_norm is None)
+    cfg = replace(QUICK, max_steps=1, batch_size=len(train_ds.bags), clip_norm=clip_norm)
+    params, _ = train(train_ds, MODEL, cfg)
+    for w, (name, t) in zip(want, params.registry):
+        assert np.max(np.abs(t.data - w)) <= 1e-15 * np.max(np.abs(w)), name
+
+
+def test_single_step_applies_lr_times_gradient(corpus):
+    assert_step_matches_oracle(corpus[0], None)
+
+
+def test_clipped_step_scales_the_full_gradient_l2_included(corpus):
+    assert_step_matches_oracle(corpus[0], 1e-3)
+
+
+def dense_oracle_run(ds, model, cfg):
+    """The training loop with a test-side dense update w - lr·(g + 2·l2·w)
+    and the L2 term added to each recorded loss."""
+    params = SegParams(model, len(ds.word_vocab))
+    n = len(ds.bags)
+    per_epoch = -(-n // cfg.batch_size)
+    losses = []
+    for step in range(cfg.max_steps):
+        epoch, slot = divmod(step, per_epoch)
+        idxs = _epoch_permutation(cfg.seed, epoch, n)[slot * cfg.batch_size:][:cfg.batch_size]
+        clear_tape()
+        nm.zero_grads(params.registry)
+        out = loss([ds.bags[i] for i in idxs], params, model, train_mode=True,
+                   rng=np.random.default_rng([model.seed, 23, step]))
+        squares = sum(float(np.dot(t.data.ravel(), t.data.ravel())) for _, t in params.registry)
+        losses.append(out.item() + model.l2_coef * squares)
+        nm.backward(out)
+        lr = lr_at(step, cfg)
+        for _, t in params.registry:
+            g = 0.0 if t.grad is None else t.grad
+            t.data -= lr * (g + 2.0 * model.l2_coef * t.data)
+    clear_tape()
+    return params, losses
+
+
+ORACLE_MODEL = replace(MODEL, dropout_p=0.5, l2_coef=1e-3)
+
+
+@pytest.mark.parametrize("vocab_size,row_path", [(8000, True), (96, False)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_200_steps_match_the_dense_oracle(variant, vocab_size, row_path, monkeypatch):
+    # The large vocabulary steps the word table by its looked-up rows, the
+    # small one densely; both must follow the dense update.
+    ds, _ = generate_synthetic(replace(SPEC, vocab_size=vocab_size, num_bags=32))
+    model = replace(ORACLE_MODEL, variant=variant)
+    cfg = replace(QUICK, lr0=0.1, max_steps=200, batch_size=4)
+    params = SegParams(model, len(ds.word_vocab))
+    took_rows = []
+
+    def spy(t):
+        rows = _touched_rows(t)
+        if t is params.tables.word:
+            took_rows.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(seg.training, "_touched_rows", spy)
+    params, history = train(ds, model, cfg, params=params)
+    assert took_rows == [row_path] * cfg.max_steps
+    want, want_losses = dense_oracle_run(ds, model, cfg)
+    for row, w in zip(history, want_losses):
+        assert abs(row["loss"] - w) <= 1e-12 * abs(w), row["step"]
+    for (name, t), (_, w) in zip(params.registry, want.registry):
+        assert np.max(np.abs(t.data - w.data)) <= 1e-12 * np.max(np.abs(w.data)), name
 
 
 def test_history_lr_matches_schedule(corpus):

@@ -13,7 +13,9 @@ seed, back to back, the parent first on every other pair. The result is
 ``BENCH_<topic>.json``: per side and metric the median and quartiles over the
 runs, the pairs the change wins, the seeds, the failed operations and the
 machine note that perfbench prints, plus the tape records one ``loss()``
-makes per variant at batch sizes 1, 16 and 32.
+makes per variant at batch sizes 1, 16 and 32. Each workload also gets one
+``--trace 1`` run per side on the first seed, whose per-layer metrics show
+where the time went.
 """
 
 from __future__ import annotations
@@ -75,10 +77,11 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def bench_once(tree: Path, workload: str, seed: int, seconds: float,
+               trace: int = 0) -> tuple[dict, dict]:
     """One perfbench run: its result object and its machine note."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-                          str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -170,6 +173,16 @@ def main(argv=None) -> int:
                         f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
                         if k.startswith(("bags_per_s", "setup_s", "peak_rss"))), flush=True)
             report["workloads"][w] = summarize(runs, bench["end_to_end"], seeds)
+            traced = {side: bench_once(trees[side], w, seeds[0], seconds, trace=1)[0]
+                      for side in SIDES}
+            report["workloads"][w]["traced"] = {
+                "seed": seeds[0],
+                "correct": all(r["correct"] for r in traced.values()),
+                "metrics": {name: {side: float(f"{traced[side]['metrics'][name]['value']:.4g}")
+                                   for side in SIDES}
+                            for name in traced["change"]["metrics"]
+                            if name in traced["parent"]["metrics"]},
+            }
         report["tape_records_per_loss"] = tape_records(trees, RECORD_SIZES, tmp)
     out = ROOT / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
