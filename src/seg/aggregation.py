@@ -125,8 +125,7 @@ def selective_attention_aggregate(vectors, relation, params: SelectiveAttnParams
     if sizes is not None:
         # One target bilinear @ q_r per bag, then repeated for each of its sentences.
         targets = nm.matmul(params.bilinear, nm.embedding_lookup(params.queries, relation))
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        targets = nm.embedding_lookup(nm.transpose(targets), owner)
+        targets = nm.repeat_cols(targets, sizes)
         scores = nm.sum_over_axis(nm.mul(vectors, targets), 0)
         weights = nm.segment_softmax(nm.reshape(scores, (1, scores.size)), sizes)
         return nm.segment_sum(nm.mul(weights, vectors), sizes)

@@ -353,6 +353,9 @@ def load_jsonl(
     in first-encounter order. Bags are keyed by (head text, tail text,
     relation) and capped at ``bag_cap`` sentences.
     """
+    for name, value in (("max_len", max_len), ("bag_cap", bag_cap)):
+        if value < 1:
+            raise ValidationError(f"{name} must be at least 1, got {value}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")

@@ -2,13 +2,14 @@
 
 Sentences are embedded column-wise, and a batch is packed: its sentences'
 token columns sit side by side in one (d, N) matrix, N being the batch's
-token count, so each view is one lookup per batch. Two views exist for every
-sentence. The positional view stacks the word vector with two
-relative-position vectors (offsets to the head and tail mentions, bucketed
-and clipped). The entity view stacks the word vector with the head and tail
-surface word vectors, repeated at every position. A learned sigmoid gate
-mixes the entity view with a projected positional view, which lets entity
-identity modulate every position.
+token count. The word vectors are looked up once per batch, and both views
+stack further rows onto those shared (word_dim, N) columns. The positional
+view adds two relative-position vectors (offsets to the head and tail
+mentions, bucketed and clipped). The entity view adds the head and tail
+surface word vectors, looked up once per sentence and repeated at each of
+its positions, so a batch of S sentences asks the word table for N + 2S
+rows. A learned sigmoid gate mixes the entity view with a projected
+positional view, which lets entity identity modulate every position.
 """
 
 from __future__ import annotations
@@ -120,20 +121,21 @@ def load_pretrained_words(
     return out, found
 
 
-def embed_positional(pack: SentencePack, tables: EmbeddingTables) -> Tensor:
-    """Positional view: (word_dim + 2*pos_dim, N)."""
-    word_cols = nm.embedding_lookup(tables.word, pack.tokens)
+def embed_positional(words: Tensor, pack: SentencePack, tables: EmbeddingTables) -> Tensor:
+    """Positional view: the (word_dim, N) word columns ``words`` over two
+    position vectors, (word_dim + 2*pos_dim, N)."""
     pos = np.arange(pack.tokens.size) - np.repeat(pack.starts, pack.lengths)
     buckets = relative_offset_bucket(pos[:, None], np.repeat(pack.entities, pack.lengths, axis=0),
                                      tables.pos_clip)
-    return nm.concat([word_cols, nm.embedding_lookup(tables.position, buckets)], axis=0)
+    return nm.concat([words, nm.embedding_lookup(tables.position, buckets)], axis=0)
 
 
-def embed_entity_concat(pack: SentencePack, tables: EmbeddingTables) -> Tensor:
-    """Entity view: (3*word_dim, N), with both entity surface vectors tiled."""
-    surfaces = pack.tokens[pack.starts[:, None] + pack.entities]
-    ids = np.column_stack([pack.tokens, np.repeat(surfaces, pack.lengths, axis=0)])
-    return nm.embedding_lookup(tables.word, ids)
+def embed_entity_concat(words: Tensor, pack: SentencePack, tables: EmbeddingTables) -> Tensor:
+    """Entity view: the (word_dim, N) word columns ``words`` over their
+    sentence's head and tail surface vectors, (3*word_dim, N). Each
+    sentence's surfaces are looked up once and tiled over its columns."""
+    surfaces = nm.embedding_lookup(tables.word, pack.tokens[pack.starts[:, None] + pack.entities])
+    return nm.concat([words, nm.repeat_cols(surfaces, pack.lengths)], axis=0)
 
 
 def entity_aware_embed(x_pos: Tensor, x_ent: Tensor, params: EntityAwareGateParams) -> Tensor:

@@ -151,6 +151,10 @@ def validate_config(config: ModelConfig) -> None:
         raise ValidationError("num_relations must be at least 2 (NA plus one relation)")
     if config.kernel_width % 2 == 0:
         raise ValidationError(f"kernel_width must be odd, got {config.kernel_width}")
+    for name in ("gate_smoothing", "l2_coef", "dropout_p"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if not 0.0 <= config.dropout_p < 1.0:
         raise ValidationError(f"dropout_p must lie in [0, 1), got {config.dropout_p}")
     if config.l2_coef < 0.0:
@@ -265,9 +269,11 @@ class BagPrediction:
 def _encode(pack: SentencePack, params: SegParams, config: ModelConfig):
     """Encode a packed batch: sentence features (feat, S) and, for
     self-attention variants, attention summaries (d_in, S), else None."""
-    x = embed_positional(pack, params.tables)
+    words = nm.embedding_lookup(params.tables.word, pack.tokens)
+    x = embed_positional(words, pack, params.tables)
     if config.wiring.entity_mix:
-        x = entity_aware_embed(x, embed_entity_concat(pack, params.tables), params.entity_gate)
+        x = entity_aware_embed(x, embed_entity_concat(words, pack, params.tables),
+                               params.entity_gate)
     if config.wiring.stacked:
         return stacked_encode(x, pack.entities, pack.lengths, params.pcnn, params.self_attn)
     feats = pcnn_encode(x, pack.entities, pack.lengths, params.pcnn)

@@ -8,11 +8,11 @@ so two identical forward+backward passes produce bit-identical gradients.
 
 The primitive set is exactly what the relation-extraction model needs:
 matrix products, a same-length 1-d convolution, stabilized softmax (over an
-axis, or over each run of columns), run sums, a few elementwise maps,
-piecewise max pooling, embedding lookups, and some shape plumbing. The
+axis, or over each run of columns), run sums and repeats, a few elementwise
+maps, piecewise max pooling, embedding lookups, and some shape plumbing. The
 convolution, the pool and the run ops take a packed batch, one run of
 columns per sentence or bag, so each runs once per batch. The tape grows
-until cleared; training clears it once per step and evaluation runs under
+until ``backward`` consumes it or it is cleared; evaluation runs under
 ``no_grad()``.
 """
 
@@ -148,21 +148,27 @@ def zero_grads(params: Iterable) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every tensor reachable from ``loss``.
+    """Populate .grad for every leaf (a tensor no record produced, such as a
+    parameter) reachable from ``loss``, consuming the tape.
 
     The loss must be a single element. Tensors that do not feed the loss
     keep grad None; a zero-weighted contribution yields an explicit zero.
+    Records are popped newest first, so every consumer of a record's output
+    has pulled before it; each record and its output's gradient are
+    released as soon as its own pull has run. Afterwards the tape is empty
+    and no record output holds a gradient.
     """
     if loss.data.size != 1:
         raise ValidationError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    if not _tape.records:
+    records = _tape.records
+    if not records:
         raise ValidationError("backward() on an empty tape; run a tracked forward pass first")
     loss.grad = np.ones_like(loss.data)
-    for rec in reversed(_tape.records):
-        g = rec.output.grad
-        if g is None:
-            continue
-        rec.pull(g)
+    while records:
+        rec = records.pop()
+        g, rec.output.grad = rec.output.grad, None
+        if g is not None:
+            rec.pull(g)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +427,22 @@ def segment_sum(x: Tensor, lengths) -> Tensor:
         _accum(x, np.repeat(g, lens, axis=1), own=True)
 
     return _result(np.add.reduceat(x.data, starts, axis=1), (x,), pull)
+
+
+def repeat_cols(x: Tensor, lengths) -> Tensor:
+    """Column j of a (d, k) matrix repeated ``lengths[j]`` times, giving a
+    packed (d, sum(lengths)) matrix. The adjoint of ``segment_sum``: the
+    pull sums each run of columns."""
+    lens = np.asarray(lengths, dtype=np.intp)
+    if x.ndim != 2 or lens.shape != x.shape[1:] or lens.size == 0 or lens.min() < 1:
+        raise ShapeError(f"repeat_cols needs a (d, k) input and k positive lengths, got "
+                         f"{x.shape} and {np.asarray(lengths).tolist()}")
+    starts = np.cumsum(lens) - lens
+
+    def pull(g: Array) -> None:
+        _accum(x, np.add.reduceat(g, starts, axis=1), own=True)
+
+    return _result(np.repeat(x.data, lens, axis=1), (x,), pull)
 
 
 def segment_max_pool(h: Tensor, boundaries, lengths=None) -> Tensor:
@@ -706,7 +728,6 @@ def grad_check(f, params, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckRepo
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in named
     }
-    clear_tape()
 
     entries = []
     with no_grad():

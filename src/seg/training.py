@@ -41,6 +41,10 @@ class TrainConfig:
 
 
 def validate_train_config(cfg: TrainConfig) -> None:
+    for name in ("lr0", "decay_factor", "clip_norm"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if cfg.lr0 <= 0.0:
         raise ValidationError(f"lr0 must be positive, got {cfg.lr0}")
     if cfg.decay_every < 1:
@@ -88,7 +92,10 @@ def _touched_rows(t: nm.Tensor):
     Measured (one core, d=50 at 80k rows, d=12 below): 80k rows with 10k
     ids, 2.0 ms against 6.3 ms dense; 2k rows with 250 ids, 18 µs against
     12 µs; 258 rows with 32 ids, 5.7 µs against 2.4 µs. At one id in
-    eight the large tables win and the small ones lose little.
+    eight the large tables win and the small ones lose little. A batch of
+    N tokens in S sentences looks up N + 2S word ids: 1.5k-2.8k per step
+    at the benchmark's 80k-word, 32-bag training workload, so the row step
+    holds there for batches about four times larger.
     """
     if t.rows is not None and 8 * t.rows.size <= t.shape[0]:
         return t.rows
@@ -179,7 +186,6 @@ def train(
                   else _clip_factor(params, train_config.clip_norm, l2_coef))
         lr = lr_at(step, train_config)
         _sgd_step(params, lr, l2_coef, factor)
-        nm.clear_tape()
 
         row = {"step": step, "loss": value, "lr": lr, "train_acc": None, "eval_auc": None}
         if train_config.eval_every and (step + 1) % train_config.eval_every == 0:

@@ -272,6 +272,49 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown keys: wordDim" in capsys.readouterr().err
 
 
+MODEL_FIELDS = {"gate_smoothing", "l2_coef", "dropout_p"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config_file"])
+@pytest.mark.parametrize("field,value", [
+    ("lr0", "nan"), ("lr0", "inf"), ("l2_coef", "nan"), ("l2_coef", "inf"),
+    ("clip_norm", "nan"), ("clip_norm", "inf"), ("gate_smoothing", "nan"),
+    ("gate_smoothing", "-inf"), ("decay_factor", "nan"), ("dropout_p", "inf")])
+def test_non_finite_config_value_exits_one_naming_it(tmp_path, capsys, source, field, value):
+    corpus = synth(tmp_path)
+    flag = f"--{field.replace('_', '-')}"
+    model = list(TINY_MODEL)
+    if flag in model:  # a flag would override the config file's value
+        del model[model.index(flag):model.index(flag) + 2]
+    argv = ["train", "--train-data", str(corpus / "train.jsonl"), "--out-dir",
+            str(tmp_path / "run"), "--max-steps", "2", "--batch-size", "8"] + model
+    if source == "flag":
+        argv.append(f"{flag}={value}")
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({field: float(value)}))  # a bare NaN / Infinity literal
+        argv += ["--model-config" if field in MODEL_FIELDS else "--train-config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert field in err
+    assert not (tmp_path / "run" / "ckpt_final.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--bag-cap", "0"), ("--bag-cap", "-1"),
+                                        ("--max-len", "0")])
+def test_corpus_setting_below_one_exits_one_naming_it(tmp_path, capsys, flag, value):
+    corpus = synth(tmp_path)
+    capsys.readouterr()
+    rc = main(["train", "--train-data", str(corpus / "train.jsonl"), "--out-dir",
+               str(tmp_path / "run"), "--max-steps", "2", flag, value] + TINY_MODEL)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_config_file_then_flags_layering(tmp_path):
     corpus = synth(tmp_path)
     cfg = tmp_path / "model.json"

@@ -52,6 +52,12 @@ def pack_of(*sents):
     return pack_bags([Bag(tuple(sents), 0)])
 
 
+def views(pack, tables):
+    """Both views of a pack over one shared word lookup, as the model builds them."""
+    words = nm.embedding_lookup(tables.word, pack.tokens)
+    return embed_positional(words, pack, tables), embed_entity_concat(words, pack, tables)
+
+
 def test_offset_buckets():
     assert relative_offset_bucket(4, 4, 5) == 5          # distance zero sits mid-table
     assert relative_offset_bucket(0, 4, 5) == 1
@@ -87,8 +93,7 @@ def test_packed_views_equal_per_token_oracle():
                                      head, tail, head_id=0, tail_id=1))
     pack = pack_bags([Bag(tuple(sents[:2]), 0), Bag(tuple(sents[2:]), 1)])
     assert pack.bag_sizes.tolist() == [2, 3]
-    x_pos = embed_positional(pack, tables).data
-    x_ent = embed_entity_concat(pack, tables).data
+    x_pos, x_ent = (v.data for v in views(pack, tables))
     col = 0
     for sent in sents:
         for i, tok in enumerate(sent.tokens):
@@ -103,9 +108,37 @@ def test_packed_views_equal_per_token_oracle():
     assert col == x_pos.shape[1]
 
 
+def test_entity_view_and_word_gradient_match_per_token_lookup_oracle():
+    # The oracle looks up (word, head surface, tail surface) at every token,
+    # 3N ids; the view looks up N words and 2S surfaces.
+    tables = make_tables(vocab=9, clip=3)
+    rng = np.random.default_rng(13)
+    sents = []
+    for n in (1, 12, 2, 7, 4, 5):
+        head, tail = (int(p) for p in rng.integers(0, n, size=2))
+        sents.append(SentenceExample(tuple(int(t) for t in rng.integers(0, 9, size=n)),
+                                     head, tail, head_id=0, tail_id=1))
+    pack = pack_bags([Bag(tuple(sents[:4]), 0), Bag(tuple(sents[4:]), 1)])
+    ids = [(tok, s.tokens[s.head_pos], s.tokens[s.tail_pos]) for s in sents for tok in s.tokens]
+    w = Tensor(rng.standard_normal((12, len(ids))))
+
+    def view_and_word_grad(view):
+        clear_tape()
+        tables.word.grad = tables.word.rows = None
+        x = view()
+        nm.backward(nm.sum_all(nm.mul(nm.tanh(x), w)))
+        return x.data, tables.word.grad
+
+    got, got_grad = view_and_word_grad(lambda: views(pack, tables)[1])
+    assert tables.word.rows.size == len(ids) + 2 * len(sents)
+    want, want_grad = view_and_word_grad(lambda: nm.embedding_lookup(tables.word, ids))
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
 def test_positional_view_layout():
     tables = make_tables()
-    out = embed_positional(pack_of(SENT), tables)
+    out = views(pack_of(SENT), tables)[0]
     assert out.shape == (4 + 3 + 3, 5)
     assert np.array_equal(out.data[:4, 0], tables.word.data[2])
     # Head-offset rows at the head position hold the distance-zero vector.
@@ -116,7 +149,7 @@ def test_positional_view_layout():
 
 def test_entity_view_tiles_surfaces():
     tables = make_tables()
-    out = embed_entity_concat(pack_of(SENT), tables)
+    out = views(pack_of(SENT), tables)[1]
     assert out.shape == (12, 5)
     for col in range(5):
         assert np.array_equal(out.data[4:8, col], tables.word.data[5])   # head surface
@@ -126,10 +159,10 @@ def test_entity_view_tiles_surfaces():
 
 def test_default_scale_row_counts():
     tables = make_tables(vocab=20, d_w=50, d_r=5, clip=30)
-    assert embed_positional(pack_of(SENT), tables).shape == (60, 5)
-    assert embed_entity_concat(pack_of(SENT), tables).shape == (150, 5)
+    assert views(pack_of(SENT), tables)[0].shape == (60, 5)
+    assert views(pack_of(SENT), tables)[1].shape == (150, 5)
     one = SentenceExample(tokens=(2,), head_pos=0, tail_pos=0, head_id=0, tail_id=0)
-    assert embed_positional(pack_of(one), tables).shape == (60, 1)
+    assert views(pack_of(one), tables)[0].shape == (60, 1)
 
 
 def test_equidistant_tokens_share_position_components():
@@ -138,17 +171,17 @@ def test_equidistant_tokens_share_position_components():
     # for every token, so rows d_w.. are duplicated blocks.
     sent = SentenceExample(tokens=(2, 5, 3, 7, 2), head_pos=2, tail_pos=2, head_id=0, tail_id=1)
     tables = make_tables()
-    out = embed_positional(pack_of(sent), tables)
+    out = views(pack_of(sent), tables)[0]
     assert np.array_equal(out.data[4:7], out.data[7:10])
 
 
 def test_swapping_entities_permutes_blocks():
     tables = make_tables()
-    fwd = embed_entity_concat(pack_of(SENT), tables)
+    fwd = views(pack_of(SENT), tables)[1]
     swapped = SentenceExample(tokens=SENT.tokens, head_pos=SENT.tail_pos,
                               tail_pos=SENT.head_pos, head_id=SENT.tail_id,
                               tail_id=SENT.head_id)
-    back = embed_entity_concat(pack_of(swapped), tables)
+    back = views(pack_of(swapped), tables)[1]
     assert np.array_equal(fwd.data[4:8], back.data[8:12])
     assert np.array_equal(fwd.data[8:12], back.data[4:8])
     assert np.array_equal(fwd.data[:4], back.data[:4])
@@ -162,8 +195,7 @@ def test_hand_computed_single_token_mix():
     tables = EmbeddingTables(Tensor(word, requires_grad=True),
                              Tensor(position, requires_grad=True), pos_clip=1)
     sent = SentenceExample(tokens=(2,), head_pos=0, tail_pos=0, head_id=0, tail_id=0)
-    x_pos = embed_positional(pack_of(sent), tables)
-    x_ent = embed_entity_concat(pack_of(sent), tables)
+    x_pos, x_ent = views(pack_of(sent), tables)
     assert np.allclose(x_pos.data[:, 0], [0.3, -0.2, 0.1, 0.1])  # zero-offset bucket 1
     assert np.allclose(x_ent.data[:, 0], [0.3, -0.2, 0.3, -0.2, 0.3, -0.2])
 
@@ -186,8 +218,7 @@ def test_hand_computed_single_token_mix():
 
 def test_gate_zero_smoothing_gives_even_mix():
     tables = make_tables()
-    x_pos = embed_positional(pack_of(SENT), tables)
-    x_ent = embed_entity_concat(pack_of(SENT), tables)
+    x_pos, x_ent = views(pack_of(SENT), tables)
     gate = make_gate(12, 12, 10, smoothing=0.0)
     out = entity_aware_embed(x_pos, x_ent, gate)
     projected = np.tanh(gate.w_proj.data @ x_pos.data + gate.b_proj.data[:, None])
@@ -196,8 +227,7 @@ def test_gate_zero_smoothing_gives_even_mix():
 
 def test_mix_is_elementwise_convex_combination():
     tables = make_tables(seed=3)
-    x_pos = embed_positional(pack_of(SENT), tables)
-    x_ent = embed_entity_concat(pack_of(SENT), tables)
+    x_pos, x_ent = views(pack_of(SENT), tables)
     gate = make_gate(12, 12, 10, seed=4)
     out = entity_aware_embed(x_pos, x_ent, gate)
     projected = np.tanh(gate.w_proj.data @ x_pos.data + gate.b_proj.data[:, None])
@@ -208,8 +238,7 @@ def test_mix_is_elementwise_convex_combination():
 
 def test_large_smoothing_saturates_to_entity_view():
     tables = make_tables(seed=5)
-    x_pos = embed_positional(pack_of(SENT), tables)
-    x_ent = embed_entity_concat(pack_of(SENT), tables)
+    x_pos, x_ent = views(pack_of(SENT), tables)
     gate = make_gate(12, 12, 10, smoothing=1e4, seed=6)
     out = entity_aware_embed(x_pos, x_ent, gate)
     pre = gate.w_gate.data @ x_ent.data + gate.b_gate.data[:, None]
@@ -220,8 +249,7 @@ def test_large_smoothing_saturates_to_entity_view():
 
 def test_gate_shape_mismatch_raises():
     tables = make_tables()
-    x_pos = embed_positional(pack_of(SENT), tables)
-    x_ent = embed_entity_concat(pack_of(SENT), tables)
+    x_pos, x_ent = views(pack_of(SENT), tables)
     with pytest.raises(ShapeError):
         entity_aware_embed(x_pos, x_ent, make_gate(12, 11, 10))
 
@@ -255,8 +283,7 @@ def test_embedding_pipeline_fd():
     w = Tensor(rng.standard_normal((12, 5)))
 
     def build():
-        x_pos = embed_positional(pack_of(SENT), tables)
-        x_ent = embed_entity_concat(pack_of(SENT), tables)
+        x_pos, x_ent = views(pack_of(SENT), tables)
         out = entity_aware_embed(x_pos, x_ent, gate)
         return nm.sum_all(nm.mul(out, w))
 

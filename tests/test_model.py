@@ -206,9 +206,10 @@ def sentence_vectors(bag, params, config):
     feats, summaries = [], []
     for sent in bag.sentences:
         pack = pack_bags([Bag((sent,), bag.label)])
-        x = embed_positional(pack, params.tables)
+        words = nm.embedding_lookup(params.tables.word, pack.tokens)
+        x = embed_positional(words, pack, params.tables)
         if config.wiring.entity_mix:
-            x = entity_aware_embed(x, embed_entity_concat(pack, params.tables),
+            x = entity_aware_embed(x, embed_entity_concat(words, pack, params.tables),
                                    params.entity_gate)
         x_conv = x
         if config.wiring.stacked:

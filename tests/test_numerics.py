@@ -350,6 +350,26 @@ def test_segment_sum_values_and_fd():
     fd_check(lambda: nm.sum_all(nm.tanh(nm.mul(nm.segment_sum(x, lens), w))), [("x", x)])
 
 
+def test_repeat_cols_values_fd_and_adjoint_of_segment_sum():
+    x, w = rand((3, 4), 120), rand((3, 9), 121)
+    lens = [2, 1, 5, 1]
+    assert np.array_equal(nm.repeat_cols(x, lens).data, np.repeat(x.data, lens, axis=1))
+    clear_tape()
+    fd_check(lambda: nm.sum_all(nm.tanh(nm.mul(nm.repeat_cols(x, lens), w))), [("x", x)])
+    # <repeat_cols(x), y> == <x, segment_sum(y)>
+    y = np.random.default_rng(122).standard_normal((3, 9))
+    lhs = float(np.sum(nm.repeat_cols(x, lens).data * y))
+    rhs = float(np.sum(x.data * nm.segment_sum(Tensor(y), lens).data))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_repeat_cols_rejects_bad_shapes_and_lengths():
+    for shape, lens in (((3, 4), [1, 2, 3]), ((3, 4), [1, 2, 0, 1]), ((3, 2), [1, -1]),
+                        ((3, 0), []), ((4,), [1, 1, 1, 1]), ((3, 2), [[1, 2]])):
+        with pytest.raises(ShapeError, match="repeat_cols"):
+            nm.repeat_cols(rand(shape, 123), lens)
+
+
 def test_run_lengths_must_cover_the_columns():
     for lens in ([2, 2], [5, 0], []):
         with pytest.raises(ShapeError, match="run lengths"):
@@ -605,6 +625,22 @@ def test_backward_bit_identical_across_passes():
     first, second = run(), run()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_backward_releases_the_tape_and_intermediate_gradients():
+    rng = np.random.default_rng(124)
+    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    k = Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    h = nm.tanh(nm.conv1d(x, k, b))
+    p = nm.softmax_over_axis(h, axis=1)
+    loss = nm.sum_all(nm.mul(p, h))  # h feeds two records
+    backward(loss)
+    assert len(nm.active_tape()) == 0
+    assert all(t.grad is None for t in (h, p, loss))
+    assert all(t.grad is not None for t in (x, k, b))
+    with pytest.raises(ValidationError, match="empty tape"):
+        backward(loss)
 
 
 def test_no_grad_records_nothing():

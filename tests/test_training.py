@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import seg.model
 import seg.numerics as nm
 import seg.training
 from seg.data import SynthSpec, generate_synthetic
@@ -132,9 +133,55 @@ def test_clipped_step_scales_the_full_gradient_l2_included(corpus):
     assert_step_matches_oracle(corpus[0], 1e-3)
 
 
+def keep_everything_backward(out):
+    """Reverse-mode replay that keeps every record and every gradient."""
+    out.grad = np.ones_like(out.data)
+    for rec in reversed(nm.active_tape().records):
+        if rec.output.grad is not None:
+            rec.pull(rec.output.grad)
+
+
+def per_token_entity_view(words, pack, tables):
+    """The entity view as one (N, 3) lookup: each token's word and its
+    sentence's head and tail surfaces, looked up at every token."""
+    surfaces = np.repeat(pack.tokens[pack.starts[:, None] + pack.entities], pack.lengths, axis=0)
+    return nm.embedding_lookup(tables.word, np.column_stack([pack.tokens, surfaces]))
+
+
+def per_column_repeat(x, lengths):
+    """repeat_cols as a lookup of the transposed columns, one id per output column."""
+    return nm.embedding_lookup(nm.transpose(x), np.repeat(np.arange(len(lengths)), lengths))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_released_backward_gives_the_keep_everything_gradients(variant):
+    ds, _ = generate_synthetic(replace(SPEC, num_bags=32))
+    model = replace(ORACLE_MODEL, variant=variant)
+    params = SegParams(model, len(ds.word_vocab))
+
+    def gradients(run):
+        clear_tape()
+        nm.zero_grads(params.registry)
+        out = loss(ds.bags[:12], params, model, train_mode=True, rng=np.random.default_rng(3))
+        outputs = [rec.output for rec in nm.active_tape().records]
+        run(out)
+        return outputs, {name: t.grad.copy() for name, t in params.registry}
+
+    _, want = gradients(keep_everything_backward)
+    outputs, got = gradients(nm.backward)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    assert len(nm.active_tape()) == 0
+    assert all(t.grad is None for t in outputs)
+    with pytest.raises(ValidationError, match="empty tape"):
+        nm.backward(outputs[-1])
+
+
 def dense_oracle_run(ds, model, cfg):
     """The training loop with a test-side dense update w - lr·(g + 2·l2·w)
-    and the L2 term added to each recorded loss."""
+    and the L2 term added to each recorded loss. Backward keeps the whole
+    tape, the entity view looks up both surfaces at every token, and
+    attention targets are tiled by a per-column lookup."""
     params = SegParams(model, len(ds.word_vocab))
     n = len(ds.bags)
     per_epoch = -(-n // cfg.batch_size)
@@ -148,7 +195,7 @@ def dense_oracle_run(ds, model, cfg):
                    rng=np.random.default_rng([model.seed, 23, step]))
         squares = sum(float(np.dot(t.data.ravel(), t.data.ravel())) for _, t in params.registry)
         losses.append(out.item() + model.l2_coef * squares)
-        nm.backward(out)
+        keep_everything_backward(out)
         lr = lr_at(step, cfg)
         for _, t in params.registry:
             g = 0.0 if t.grad is None else t.grad
@@ -180,6 +227,8 @@ def test_200_steps_match_the_dense_oracle(variant, vocab_size, row_path, monkeyp
     monkeypatch.setattr(seg.training, "_touched_rows", spy)
     params, history = train(ds, model, cfg, params=params)
     assert took_rows == [row_path] * cfg.max_steps
+    monkeypatch.setattr(seg.model, "embed_entity_concat", per_token_entity_view)
+    monkeypatch.setattr(nm, "repeat_cols", per_column_repeat)
     want, want_losses = dense_oracle_run(ds, model, cfg)
     for row, w in zip(history, want_losses):
         assert abs(row["loss"] - w) <= 1e-12 * abs(w), row["step"]
