@@ -14,7 +14,8 @@ The aggregators run on a packed batch: sentence vectors are the columns of
 one (d, S) matrix, bag b owns the next ``sizes[b]`` columns, and the result
 is one (d, B) matrix of bag vectors. ``gate_aggregate`` and
 ``selective_attention_aggregate`` also take one bag as a list of vectors
-when ``sizes`` is None; that form is the plain per-sentence definition.
+when ``sizes`` is None; that form is the plain per-sentence definition. In
+eval, selective attention returns every relation's weights, not bag vectors.
 """
 
 from __future__ import annotations
@@ -110,18 +111,16 @@ def selective_attention_aggregate(vectors, relation, params: SelectiveAttnParams
     Bag b attends with relation[b]: its sentences' scores s_j . (bilinear @
     q_r) are softmaxed over the bag. Packed (feat, S) vectors give a
     (feat, B) matrix. With ``relation`` None every relation attends in one
-    pass, for eval only (nothing is recorded): the result is a list with one
-    (feat, R) matrix per bag, column r being the bag under relation r. With
-    ``sizes`` None, ``vectors`` is one bag's list of (feat,) vectors,
-    ``relation`` one index, and the result one vector.
+    pass, for eval only (nothing is recorded): the result is the (R, S)
+    weights, row r softmaxed within each bag, which the model applies after
+    the classifier's linear first layer. With ``sizes`` None, ``vectors`` is
+    one bag's list of (feat,) vectors, ``relation`` one index, and the
+    result one vector.
     """
     if sizes is not None and relation is None:
         # S @ bilinear first: bilinear @ Q^T would cost feat^2 * R.
         scores = (vectors.data.T @ params.bilinear.data) @ params.queries.data.T
-        weights = nm.segment_softmax(Tensor(scores.T), sizes).data  # (R, S)
-        cuts = np.cumsum(sizes)[:-1]
-        return [Tensor(v @ w.T) for v, w in zip(np.split(vectors.data, cuts, axis=1),
-                                                np.split(weights, cuts, axis=1))]
+        return nm.segment_softmax(Tensor(scores.T), sizes)
     if sizes is not None:
         # One target bilinear @ q_r per bag, then repeated for each of its sentences.
         targets = nm.matmul(params.bilinear, nm.embedding_lookup(params.queries, relation))

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,7 +161,13 @@ def _resolve_config(args, cls, **fixed):
                           f"{what} config file {p}")
     given = {f.name: getattr(args, dest) for dest, f in _flag_fields(cls).items()
              if getattr(args, dest) is not None}
-    return cls(**{**from_file, **given, **fixed})
+    resolved = {**from_file, **given, **fixed}
+    # Checked before any command writes its manifest: json.dumps would write
+    # a non-finite float as a bare NaN or Infinity, which is not JSON.
+    for name, value in resolved.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+    return cls(**resolved)
 
 
 _VOCAB_KEYS = ("relation_names", "word_vocab", "entity_vocab")

@@ -117,15 +117,20 @@ def p_at_n(decisions_by_mode: dict, ns=DEFAULT_NS) -> dict:
     min(n, len) decisions per cutoff (None when the mode is empty), how many
     decisions each cutoff actually covered (shorter lists are computed over
     all available and flagged by that count), and the mean."""
+    return _p_at_n_table({mode: [d.correct for d in ranked(decisions)]
+                          for mode, decisions in decisions_by_mode.items()}, ns)
+
+
+def _p_at_n_table(hits_by_mode: dict, ns) -> dict:
+    """``p_at_n`` from each mode's correct flags in rank order."""
     if any(n < 1 for n in ns):
         raise ValidationError(f"P@N needs every n >= 1, got {list(ns)}")
     table = {}
-    for mode, decisions in decisions_by_mode.items():
-        order = ranked(decisions)
+    for mode, hits in hits_by_mode.items():
         values, counted = {}, {}
         for n in ns:
-            top = order[:n]
-            values[str(n)] = sum(d.correct for d in top) / len(top) if top else None
+            top = hits[:n]
+            values[str(n)] = int(np.count_nonzero(top)) / len(top) if len(top) else None
             counted[str(n)] = len(top)
         present = [v for v in values.values() if v is not None]
         table[mode] = {
@@ -134,6 +139,18 @@ def p_at_n(decisions_by_mode: dict, ns=DEFAULT_NS) -> dict:
             "mean": sum(present) / len(present) if present else None,
         }
     return table
+
+
+def _ranked_hits(bags, preds) -> np.ndarray:
+    """Correct flags of the (bag, relation >= 1) decisions in ``ranked``
+    order, without building the decisions. Row-major order is (bag id,
+    relation) order, so a stable sort on descending score breaks ties as
+    ``ranked`` does."""
+    if not preds:
+        return np.zeros(0, dtype=bool)
+    scores = np.array([pred.confidence[1:] for pred in preds])
+    correct = np.array([bag.label for bag in bags])[:, None] == np.arange(1, scores.shape[1] + 1)
+    return correct.ravel()[np.argsort(-scores.ravel(), kind="stable")]
 
 
 def subsample_bags(ds: Dataset, mode: str, seed: int) -> Dataset:
@@ -178,15 +195,16 @@ def build_eval_report(ds: Dataset, params: SegParams, config: ModelConfig,
     decisions = decisions_from(ds, preds)
     positives = sum(1 for b in ds.bags if b.label != 0)
     pr_points, auc = pr_curve_and_auc(decisions, positives)
-    by_mode = {}
+    hits = {}
     for mode in ("One", "Two"):
         sub = subsample_bags(ds, mode, subsample_seed)
-        by_mode[mode] = score_decisions(sub, params, config) if sub.bags else []
+        hits[mode] = _ranked_hits(sub.bags, predict_dataset(sub, params, config))
     # "All" keeps every sentence of the multi-sentence bags, so its decisions
-    # are the full set's; the kept bag ids keep their order, so the ranking is
+    # are the full set's; the kept bags keep their order, so the ranking is
     # the one subsample_bags(ds, "All") would give.
-    by_mode["All"] = [d for d in decisions if len(ds.bags[d.bag_id].sentences) >= 2]
-    table = p_at_n(by_mode)
+    multi = [i for i, bag in enumerate(ds.bags) if len(bag.sentences) >= 2]
+    hits["All"] = _ranked_hits([ds.bags[i] for i in multi], [preds[i] for i in multi])
+    table = _p_at_n_table(hits, DEFAULT_NS)
     metadata = {
         "auc_convention": "trapezoid over the full ranked curve, anchored at "
                           "(recall 0, precision at rank 1)",

@@ -48,6 +48,7 @@ from .aggregation import (
     gate_aggregate,
     gate_plus_attention_aggregate,
     gate_values,
+    gated_vectors,
     mean_vectors,
     selective_attention_aggregate,
 )
@@ -257,8 +258,8 @@ class BagPrediction:
     ``probs`` always sums to 1. For gate variants ``confidence`` equals
     ``probs``. For selective-attention variants all relations attend in one
     pass: confidence[r] is the probability of r under relation r's own
-    attention weights, and ``probs`` is the normalization of those
-    confidences.
+    attention weights (scored classifier-first, see ``forward_bags``), and
+    ``probs`` is the normalization of those confidences.
     """
 
     probs: np.ndarray
@@ -284,9 +285,7 @@ def _encode(pack: SentencePack, params: SegParams, config: ModelConfig):
 
 def _aggregate(feats, summaries, pack: SentencePack, relation, params: SegParams,
                config: ModelConfig) -> Tensor:
-    """The (agg, B) matrix of bag vectors. Attention variants attend bag b
-    with relation[b], or with every relation when ``relation`` is None (see
-    selective_attention_aggregate)."""
+    """The (agg, B) matrix of bag vectors; attention variants attend bag b with relation[b]."""
     wiring, sizes = config.wiring, pack.bag_sizes
     gates = gate_values(summaries, params.gate) if wiring.gate else None
     if wiring.selective_attn and wiring.gate:
@@ -313,24 +312,32 @@ _EVAL_COLUMNS = 1024
 
 
 def _predict_chunk(bags, params: SegParams, config: ModelConfig) -> list[BagPrediction]:
-    pack = pack_bags(bags)
+    pack, wiring, r = pack_bags(bags), config.wiring, config.num_relations
     with nm.no_grad():
         feats, summaries = _encode(pack, params, config)
-        c = _aggregate(feats, summaries, pack, None, params, config)
-        if not config.wiring.selective_attn:
+        if not wiring.selective_attn:
+            c = _aggregate(feats, summaries, pack, None, params, config)
             dist = nm.softmax_over_axis(_classify(c, params), 0).data
             return [BagPrediction(probs=p, predicted=int(np.argmax(p)), confidence=p)
                     for p in dist.T.copy()]
-        preds = []
-        for per_relation in c:
-            dist = nm.softmax_over_axis(_classify(per_relation, params), 0).data
-            confidence = np.diagonal(dist).copy()
-            total = confidence.sum()
-            probs = (confidence / total if total > 0
-                     else np.full_like(confidence, 1.0 / confidence.size))
-            preds.append(BagPrediction(probs=probs, predicted=int(np.argmax(probs)),
-                                       confidence=confidence))
-    return preds
+        if wiring.gate:
+            feats = gated_vectors(feats, gate_values(summaries, params.gate), config.scalar_gate)
+        weights = selective_attention_aggregate(feats, None, params.selective_attn, pack.bag_sizes)
+        # _classify with its linear first layer moved before the weights, so
+        # W_h meets each sentence once, not once per relation. Each row of A_b
+        # sums to 1, so W_h (V_b A_b^T) + b_h = (W_h V_b + b_h) A_b^T.
+        cuts = np.cumsum(pack.bag_sizes)[:-1]
+        hidden = nm.add(nm.matmul(params.cls_w_hidden, feats), params.cls_b_hidden).data
+        blocks = zip(np.split(hidden, cuts, axis=1), np.split(weights.data, cuts, axis=1))
+        hidden = Tensor(np.concatenate([np.maximum(h @ a.T, 0.0) for h, a in blocks], axis=1))
+        logits = nm.add(nm.matmul(params.cls_w_out, hidden), params.cls_b_out)
+        dist = nm.softmax_over_axis(logits, 0).data
+        confidences = np.diagonal(dist.reshape(r, len(bags), r), axis1=0, axis2=2).copy()
+    totals = confidences.sum(axis=1, keepdims=True)
+    probs = np.divide(confidences, totals, out=np.full_like(confidences, 1.0 / r),
+                      where=totals > 0)
+    return [BagPrediction(probs=p, predicted=int(np.argmax(p)), confidence=c)
+            for p, c in zip(probs, confidences)]
 
 
 def forward_bags(bags, params: SegParams, config: ModelConfig) -> list[BagPrediction]:
@@ -339,8 +346,11 @@ def forward_bags(bags, params: SegParams, config: ModelConfig) -> list[BagPredic
     Bags are forwarded in packed chunks of about _EVAL_COLUMNS token
     columns: one pass per chunk through the encoders, the gate network, the
     aggregation and the classifier. The selective-attention variants let
-    all relations attend in one pass per bag: the aggregate has one column
-    per relation query, one classifier pass scores every column, and
+    all relations attend in one pass and score classifier-first: the first
+    layer is linear, W_h (V_b A_b^T) = (W_h V_b) A_b^T, so W_h meets each
+    sentence vector once, and bag b's (cls_hidden, R) first-layer block is
+    its sentences' outputs weighted by each relation's attention row. The
+    ReLU and the output layer score every column of every block, and
     confidence[r] is column r's probability of r. probs is their
     normalization so it remains a distribution.
     """

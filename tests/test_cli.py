@@ -299,7 +299,30 @@ def test_non_finite_config_value_exits_one_naming_it(tmp_path, capsys, source, f
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert field in err
+    # Rejected before the manifest is written: it would hold a bare NaN literal.
+    assert not (tmp_path / "run" / "run_manifest.json").exists()
     assert not (tmp_path / "run" / "ckpt_final.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config_file"])
+@pytest.mark.parametrize("field,value", [("noise_rate", "nan"),
+                                         ("one_sentence_fraction", "-inf")])
+def test_non_finite_synth_value_exits_one_before_the_manifest(tmp_path, capsys, source,
+                                                               field, value):
+    flag = f"--{field.replace('_', '-')}"
+    argv = ["synth", "--out-dir", str(tmp_path / "out"), "--num-bags", "20"]
+    if source == "flag":
+        argv.append(f"{flag}={value}")
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: float(value)}))  # a bare NaN / -Infinity literal
+        argv += ["--spec-file", str(spec)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert field in err
+    assert not (tmp_path / "out" / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--bag-cap", "0"), ("--bag-cap", "-1"),

@@ -294,6 +294,21 @@ def test_report_all_mode_matches_a_forwarded_all_subsample(scored_corpus):
     assert report.p_at_n["All"] == p_at_n({"All": forwarded})["All"]
 
 
+def test_ranked_hits_follow_ranked_order_under_ties(scored_corpus):
+    # The report ranks each P@N mode from arrays; with many tied scores its
+    # order must still be ranked()'s: score, then bag id, then relation.
+    from seg.evaluation import _ranked_hits
+
+    test_ds, params, config = scored_corpus
+    preds = predict_dataset(test_ds, params, config)
+    for pred in preds:
+        pred.confidence[...] = np.round(pred.confidence, 1)
+    assert len({float(c) for p in preds for c in p.confidence[1:]}) < 12
+    want = [d.correct for d in ranked(decisions_from(test_ds, preds))]
+    assert _ranked_hits(test_ds.bags, preds).tolist() == want
+    assert _ranked_hits([], []).size == 0
+
+
 def test_decisions_from_reads_confidence(scored_corpus):
     test_ds, params, config = scored_corpus
     preds = predict_dataset(test_ds, params, config)

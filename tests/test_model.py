@@ -272,15 +272,23 @@ def per_relation_confidence(bag, params, config):
 @pytest.mark.parametrize("scalar_gate", [False, True])
 @pytest.mark.parametrize("variant", ["seg_wo_all", "seg_attn_wo_gate", "seg_attn"])
 def test_eval_confidence_matches_per_relation_oracle(variant, scalar_gate):
-    config = tiny(variant, scalar_gate=scalar_gate)
-    params = SegParams(config, VOCAB)
-    for name, t in params.registry:
-        t.data[...] = _rng_for(5, "oracle." + name).uniform(-1.0, 1.0, size=t.shape)
-    bags = tiny_bags(config.num_relations, VOCAB) + [one_bag(5, seed=s) for s in (8, 9)]
-    for bag in bags:
-        want = per_relation_confidence(bag, params, config)
-        got = forward_bag(bag, params, config).confidence
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0), (variant, len(bag.sentences))
+    for num_relations in (TINY_CONFIG.num_relations, 53):
+        config = tiny(variant, scalar_gate=scalar_gate, num_relations=num_relations)
+        params = SegParams(config, VOCAB)
+        for name, t in params.registry:
+            t.data[...] = _rng_for(5, "oracle." + name).uniform(-1.0, 1.0, size=t.shape)
+        bags = tiny_bags(num_relations, VOCAB) + [one_bag(5, seed=s) for s in (8, 9)]
+        want = [per_relation_confidence(bag, params, config) for bag in bags]
+        for bag, w in zip(bags, want):
+            got = forward_bag(bag, params, config).confidence
+            assert np.allclose(got, w, rtol=1e-12, atol=0.0), (num_relations, len(bag.sentences))
+        # One chunk that mixes one-sentence bags with larger ones: each bag's
+        # block of the per-chunk first-layer product must stop at its own columns.
+        order = [0, 3, 1, 0, 4, 2, 0]
+        ds = Dataset(bags=[bags[i] for i in order], word_vocab={}, entity_vocab={},
+                     relation_names=[str(r) for r in range(num_relations)])
+        for i, pred in zip(order, predict_dataset(ds, params, config), strict=True):
+            assert np.allclose(pred.confidence, want[i], rtol=1e-12, atol=0.0), (num_relations, i)
 
 
 def test_gate_variant_confidence_is_probs():
